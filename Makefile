@@ -2,11 +2,17 @@ GO ?= go
 
 .PHONY: build test vet lint race bench bench-sense bench-harden verify
 
+# build and vet also cover the campaign benchmark, a nested module
+# (campaignbench/) the root ./... patterns skip, so an API change that breaks
+# it fails here rather than when the benchmark runs. -o /dev/null keeps the
+# build from leaving a binary in the tree.
 build:
 	$(GO) build ./...
+	cd campaignbench && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	cd campaignbench && $(GO) vet ./...
 
 # Repo-specific static checks: gofmt, exhaustive outcome switches, and the
 # deterministic-path wall-clock/global-RNG rules (see internal/lint).

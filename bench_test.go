@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"kfi"
+	"kfi/internal/campaign"
 	"kfi/internal/cisc"
 	"kfi/internal/isa"
 	"kfi/internal/kernel"
@@ -741,13 +742,16 @@ func BenchmarkSnapshotSpeedup(b *testing.B) {
 			const n = 150
 			seed := int64(910) + int64(p)
 
-			// Full campaigns in both modes (untimed by the framework, but
-			// measured): the correctness half of the claim.
-			t0 := time.Now()
-			rep, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{Replay: true})
+			// The batch's targets: the same ones the campaign below plans.
+			targets, err := kfi.NewTargets(sys, kfi.Code, n, seed)
 			if err != nil {
 				b.Fatal(err)
 			}
+
+			// Full campaigns both ways (untimed by the framework, but
+			// measured): the correctness half of the claim.
+			t0 := time.Now()
+			repTable := kfi.Summarize(campaign.ReplayFromBoot(sys.Sys, sys.Golden, targets)).TableRow("code")
 			campReplay := time.Since(t0)
 			t0 = time.Now()
 			snapC, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{})
@@ -755,17 +759,13 @@ func BenchmarkSnapshotSpeedup(b *testing.B) {
 				b.Fatal(err)
 			}
 			campSnapshot := time.Since(t0)
-			repTable, snapTable := rep.Counts.TableRow("code"), snapC.Counts.TableRow("code")
+			snapTable := snapC.Counts.TableRow("code")
 			if repTable != snapTable {
 				b.Fatalf("outcome tables diverge between modes:\n  replay:   %s\n  snapshot: %s", repTable, snapTable)
 			}
 
 			// Recover the batch's trigger cycles (first execution of each
 			// target address) from one traced golden run.
-			targets, err := kfi.NewTargets(sys, kfi.Code, n, seed)
-			if err != nil {
-				b.Fatal(err)
-			}
 			m := sys.Sys.Machine
 			m.Reboot()
 			clk := m.Core().Clock()

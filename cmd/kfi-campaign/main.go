@@ -54,13 +54,12 @@ func run(args []string) error {
 		quiet        = fs.Bool("quiet", false, "suppress progress output")
 		burst        = fs.Int("burst", 1, "bits flipped per injection (1 = the paper's single-bit model)")
 		crashAddr    = fs.String("crashnet", "", "UDP address of a kfi-monitor collecting crash packets")
-		execMode     = fs.String("exec", "snapshot", "execution mode: snapshot (fork-from-golden) or replay (reboot per injection)")
 		engineFlag   = fs.String("engine", "", "execution engine: interp, predecode, or translate (default: the platform default)")
 		verbose      = fs.Bool("v", false, "print execution-engine counters after each platform")
 		sense        = fs.Bool("sense", false, "run the static error-sensitivity pre-pass and print the predicted-vs-observed confusion matrix")
-		prune        = fs.Bool("prune", false, "implies -sense; skip injections predicted inert, synthesizing their outcomes from the golden run (snapshot mode only)")
-		snapshotDir  = fs.String("snapshot-dir", "", "persist/reuse golden-prefix snapshots in this directory (snapshot mode only)")
-		secCache     = fs.String("section-cache", "", "per-section outcome cache directory: re-runs replay unchanged sections' results and re-inject only changed ones (snapshot mode only)")
+		prune        = fs.Bool("prune", false, "implies -sense; skip injections predicted inert, synthesizing their outcomes from the golden run")
+		snapshotDir  = fs.String("snapshot-dir", "", "persist/reuse golden-prefix snapshots in this directory")
+		secCache     = fs.String("section-cache", "", "per-section outcome cache directory: re-runs replay unchanged sections' results and re-inject only changed ones")
 		journalDir   = fs.String("journal", "", "durably journal completed outcomes to this directory (one file per platform+campaign)")
 		resume       = fs.Bool("resume", false, "resume from the journals in -journal, skipping already-completed injections")
 		retries      = fs.Int("retries", 0, "supervised attempts per injection before quarantine (0 = default 3)")
@@ -188,30 +187,17 @@ func run(args []string) error {
 		Nodes:         *nodes,
 	}
 	cfg.Burst = uint8(*burst)
-	switch strings.ToLower(*execMode) {
-	case "snapshot", "fork", "fork-from-golden":
-		cfg.Exec = kfi.ExecOptions{SnapshotDir: *snapshotDir, SectionCache: *secCache}
-	case "replay", "reboot":
-		if *snapshotDir != "" {
-			return fmt.Errorf("-snapshot-dir requires -exec snapshot")
-		}
-		if *secCache != "" {
-			return fmt.Errorf("-section-cache requires -exec snapshot (cache keys fingerprint the traced golden run)")
-		}
-		if *prune {
-			return fmt.Errorf("-prune requires -exec snapshot (pruned outcomes are synthesized from the traced golden run)")
-		}
-		cfg.Exec = kfi.ExecOptions{Replay: true}
-	default:
-		return fmt.Errorf("unknown -exec mode %q (want snapshot or replay)", *execMode)
+	cfg.Exec = kfi.ExecOptions{
+		Engine:       engine,
+		SnapshotDir:  *snapshotDir,
+		Sense:        *sense || *prune,
+		Prune:        *prune,
+		SectionCache: *secCache,
+		MaxAttempts:  *retries,
 	}
-	cfg.Exec.Sense = *sense || *prune
-	cfg.Exec.Prune = *prune
-	cfg.Exec.Engine = engine
 	if *resume && *journalDir == "" {
 		return fmt.Errorf("-resume requires -journal")
 	}
-	cfg.Exec.MaxAttempts = *retries
 	cfg.JournalDir = *journalDir
 	cfg.Resume = *resume
 	if *crashAddr != "" {

@@ -269,8 +269,7 @@ type Result struct {
 
 // Run executes a campaign: golden is the fault-free checksum; progress (may
 // be nil) is called after each injection. It uses the default execution
-// options — fork-from-golden snapshot scheduling; see RunWith and ExecOptions
-// for the replay-from-boot reference mode.
+// options; see RunWith and ExecOptions.
 func Run(sys *kernel.System, golden uint32, profile *Profile, spec Spec, progress func(done, total int)) (*Result, error) {
 	return RunWith(sys, golden, profile, spec, progress, ExecOptions{})
 }
@@ -278,9 +277,9 @@ func Run(sys *kernel.System, golden uint32, profile *Profile, spec Spec, progres
 // Golden measures the fault-free checksum; it fails if the pristine system
 // does not complete.
 func Golden(sys *kernel.System) (uint32, error) {
-	res := sys.Run()
-	if res.Outcome != machine.OutCompleted {
-		return 0, fmt.Errorf("campaign: golden run did not complete: %v", res.Outcome)
+	res, err := goldenRun(sys)
+	if err != nil {
+		return 0, err
 	}
 	return res.Checksum, nil
 }

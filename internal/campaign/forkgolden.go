@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -17,18 +16,14 @@ import (
 	"kfi/internal/snapshot"
 )
 
-// ExecOptions select how a campaign executes its injections.
-//
-// The zero value is the fork-from-golden mode (the fast path): the golden
-// prefix up to each injection's trigger point is executed once, checkpointed
-// with internal/snapshot, and every experiment sharing that prefix is
-// restore-inject-resumed in O(dirty pages). Outcomes are identical to replay
-// mode — the restored state is cycle-exact — only wall-clock time changes.
+// ExecOptions tune how a campaign executes its injections. Every campaign
+// runs fork-from-golden: the golden prefix up to each injection's trigger
+// point is executed once, checkpointed with internal/snapshot, and every
+// experiment sharing that prefix is restore-inject-resumed in O(dirty
+// pages). The restored state is cycle-exact, so outcomes equal the paper's
+// literal reboot-and-replay procedure (ReplayFromBoot, the reference the
+// equivalence tests compare against); only wall-clock time differs.
 type ExecOptions struct {
-	// Replay forces the paper's literal procedure: reboot and replay from
-	// boot for every injection (the reference mode the equivalence tests and
-	// benchmarks compare against).
-	Replay bool
 	// Engine selects the execution engine the guest runs on (step
 	// interpreter, predecoded interpreter, or the basic-block translator —
 	// see internal/platform.EngineKind). The zero value is the platform
@@ -61,9 +56,7 @@ type ExecOptions struct {
 	// Prune implies Sense and additionally skips injections the analyzer
 	// predicts inert: their results are synthesized from the traced golden
 	// run (outcome not-manifested, golden checksum and cycle count) and
-	// journaled with PredSkipped set. Requires the fork-from-golden
-	// scheduler — combining Prune with Replay is an error, because replay
-	// mode never traces the golden run the synthesized results come from.
+	// journaled with PredSkipped set.
 	Prune bool
 
 	// SectionCache, when set, is the directory of the per-section outcome
@@ -77,8 +70,7 @@ type ExecOptions struct {
 	// section re-executes only that section. Rows are stamped with
 	// inject.Result.PredCached on cold and warm runs alike, so warm tables
 	// and journals stay byte-identical to the cold run that filled the
-	// cache. Requires the fork-from-golden scheduler (incompatible with
-	// Replay, which never traces the golden run the keys fingerprint).
+	// cache.
 	SectionCache string
 	// onSection, when set (tests), observes each section's cache decision.
 	onSection func(name string, hit bool)
@@ -87,9 +79,9 @@ type ExecOptions struct {
 	// outcome is recorded as inject.OQuarantined (0 = default 3).
 	MaxAttempts int
 	// InjectionTimeout is the per-attempt wall-clock watchdog. An attempt
-	// that exceeds it is abandoned and retried on a respawned node (farm
-	// runs; single-system runs cannot replace their machine and report an
-	// error). 0 = default 2m; negative disables the watchdog.
+	// that exceeds it is abandoned and retried on a respawned node (Farm,
+	// NodeRunner and study runs; RunWith cannot replace its caller's machine
+	// and reports an error). 0 = default 2m; negative disables the watchdog.
 	InjectionTimeout time.Duration
 	// RetryBackoff is the delay before the first retry; it doubles with
 	// every further attempt (0 = default 2ms).
@@ -138,216 +130,53 @@ func (rc *recorder) complete(idx int, journal bool) error {
 	return nil
 }
 
-// applyCompleted fills results from the resume set and returns the skip
-// mask. The recorded outcomes count toward progress but are not re-journaled.
-func applyCompleted(rc *recorder, opts ExecOptions) ([]bool, error) {
-	skip := make([]bool, len(rc.results))
-	for i := range rc.results {
-		if r, ok := opts.Completed[i]; ok {
-			rc.results[i] = r
-			skip[i] = true
-			if err := rc.complete(i, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return skip, nil
-}
-
 // RunWith is Run with explicit execution options.
 func RunWith(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 	progress func(done, total int), opts ExecOptions) (*Result, error) {
-	if opts.SectionCache != "" && opts.Replay {
-		return nil, fmt.Errorf("campaign: SectionCache requires the fork-from-golden scheduler; replay mode never traces the golden run the cache keys fingerprint")
-	}
-	if err := sys.Machine.SetEngine(opts.Engine); err != nil {
-		return nil, err
-	}
-	sys.Machine.Engine().ResetStats()
-	gen := NewGenerator(sys, profile, spec.Seed, profileCycles(profile))
-	targets, err := gen.Targets(spec)
-	if err != nil {
-		return nil, err
-	}
-	sense, err := buildSense(sys, targets, opts)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]inject.Result, len(targets))
-	rec := &recorder{journal: opts.Journal, progress: progress, results: results,
-		sense: sense, markCached: opts.SectionCache != ""}
-	skip, err := applyCompleted(rec, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	if opts.Replay {
-		rep := newReplayRunner(sys, golden, opts)
-		for i, t := range targets {
-			if skip[i] {
-				continue
-			}
-			res, err := rep.runTarget(i, t)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-			if err := rec.complete(i, true); err != nil {
-				return nil, err
-			}
-		}
-		return &Result{Spec: spec, Platform: sys.Platform, Results: results,
-			Engine: sys.Machine.EngineKind(), EngineStats: sys.Machine.Engine().Stats()}, nil
-	}
-
-	sched, err := buildSchedule(sys, targets, opts)
-	if err != nil {
-		return nil, err
-	}
-	prunePre(sched, targets, sense, opts)
-	secs, err := openSectionCache(sys, golden, spec, targets, sched, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := secs.restore(rec, skip); err != nil {
-		return nil, err
-	}
-	for i, r := range sched.pre {
-		if skip[i] {
-			continue
-		}
-		results[i] = r
-		if err := rec.complete(i, true); err != nil {
-			return nil, err
-		}
-	}
-	order := filterOrder(sched.order, skip)
-	if err := runChunk(sys, golden, targets, order, results, opts,
-		func(idx int) error { return rec.complete(idx, true) }, maxTrig(sched.order)); err != nil {
-		return nil, err
-	}
-	if err := secs.store(results); err != nil {
-		return nil, err
-	}
-	return &Result{Spec: spec, Platform: sys.Platform, Results: results,
-		Engine: sys.Machine.EngineKind(), EngineStats: sys.Machine.Engine().Stats()}, nil
+	return run([]*kernel.System{sys}, nil, execHooks{}, golden, profile, spec, nil, progress, opts)
 }
 
-// filterOrder drops already-completed entries from a trigger-sorted order.
-func filterOrder(order []trigOrder, skip []bool) []trigOrder {
-	out := make([]trigOrder, 0, len(order))
-	for _, o := range order {
-		if !skip[o.idx] {
-			out = append(out, o)
-		}
+// run is the one campaign driver behind RunWith, Farm.RunWith and the harden
+// study: it selects the engine on every node, builds the plan on the first,
+// and completes every row through one executor over all of them. respawn
+// (nil: none) builds replacement nodes; targets (nil: generate from spec)
+// is passed to NewPlan.
+func run(nodes []*kernel.System, respawn func() (*kernel.System, error), hooks execHooks,
+	golden uint32, profile *Profile, spec Spec, targets []inject.Target,
+	progress func(done, total int), opts ExecOptions) (*Result, error) {
+	ex, err := newExecutor(nodes, golden, opts, respawn, hooks)
+	if err != nil {
+		return nil, err
+	}
+	defer ex.close()
+	plan, err := NewPlan(nodes[0], golden, profile, spec, targets, opts)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]inject.Result, len(plan.Targets))
+	rec := &recorder{journal: opts.Journal, progress: progress, results: results,
+		sense: plan.sense, markCached: opts.SectionCache != ""}
+	if err := plan.execute(ex, nil, results, rec.complete); err != nil {
+		return nil, err
+	}
+	if err := plan.secs.store(results); err != nil {
+		return nil, err
+	}
+	return &Result{Spec: spec, Platform: nodes[0].Platform, Results: results,
+		Engine: nodes[0].Machine.EngineKind(), EngineStats: ex.stats()}, nil
+}
+
+// ReplayFromBoot runs targets the paper's literal way, one inject.RunOne per
+// target: reboot, replay the benchmark from boot to the trigger, inject, and
+// run to an outcome. No plan, snapshot or supervision is involved, which is
+// what makes it the reference the fork-from-golden executor is tested
+// against.
+func ReplayFromBoot(sys *kernel.System, golden uint32, targets []inject.Target) []inject.Result {
+	out := make([]inject.Result, len(targets))
+	for i, t := range targets {
+		out[i] = inject.RunOne(sys, t, golden)
 	}
 	return out
-}
-
-// trigOrder pairs a target index with its trigger cycle (the golden-run cycle
-// count just before the injection acts).
-type trigOrder struct {
-	trig uint64
-	idx  int
-}
-
-// goldenTrace is one traced golden run: the first cycle at which each PC is
-// about to execute, plus the run's length and checksum.
-type goldenTrace struct {
-	firstHit map[uint32]uint64
-	cycles   uint64
-	checksum uint32
-}
-
-// traceGolden runs the benchmark once with tracing and records, per PC, the
-// cycle count just before its first execution — the exact cycle at which a
-// code-injection breakpoint on that address would fire.
-func traceGolden(sys *kernel.System) (*goldenTrace, error) {
-	m := sys.Machine
-	m.Reboot()
-	clk := m.Core().Clock()
-	first := make(map[uint32]uint64, 1<<14)
-	m.Core().SetTrace(func(pc uint32, cost uint8) {
-		if _, ok := first[pc]; !ok {
-			// Trace reports after the clock advanced past the instruction.
-			first[pc] = clk.Cycles() - uint64(cost)
-		}
-	})
-	res := m.Run()
-	m.Core().SetTrace(nil)
-	if res.Outcome != machine.OutCompleted {
-		return nil, fmt.Errorf("campaign: traced golden run did not complete: %v", res.Outcome)
-	}
-	return &goldenTrace{firstHit: first, cycles: res.Cycles, checksum: res.Checksum}, nil
-}
-
-// schedule is the fork-from-golden plan for one target set: the trigger-
-// sorted execution order plus results synthesized without running anything
-// (code targets whose instruction the golden run never executes — their
-// breakpoint can never fire, so the run is the golden run).
-type schedule struct {
-	order []trigOrder
-	pre   map[int]inject.Result
-	// golden is the traced golden run the schedule was built from (nil when
-	// the target set has no code targets); pruning synthesizes skipped
-	// results from it.
-	golden *goldenTrace
-}
-
-// buildSchedule computes each target's trigger cycle and sorts targets by
-// it. Delay-triggered targets (stack, system registers) use their Delay;
-// code targets use the first golden-run execution of their address;
-// everything else injects at boot (trigger 0). The golden run is traced
-// when code targets need their trigger cycles, and also when the options
-// prune or cache sections — both synthesize rows from the golden outcome.
-func buildSchedule(sys *kernel.System, targets []inject.Target, opts ExecOptions) (*schedule, error) {
-	var tr *goldenTrace
-	needGolden := !opts.Replay && (opts.Prune || opts.SectionCache != "")
-	for _, t := range targets {
-		if t.Campaign == inject.CampCode {
-			needGolden = true
-			break
-		}
-	}
-	if needGolden {
-		var err error
-		if tr, err = traceGolden(sys); err != nil {
-			return nil, err
-		}
-	}
-	s := &schedule{order: make([]trigOrder, 0, len(targets)), pre: map[int]inject.Result{}, golden: tr}
-	for i, t := range targets {
-		switch {
-		case t.Delay > 0:
-			s.order = append(s.order, trigOrder{t.Delay, i})
-		case t.Campaign == inject.CampCode:
-			c, ok := tr.firstHit[t.Addr]
-			if !ok {
-				s.pre[i] = notActivatedResult(t, tr.cycles, tr.checksum)
-				continue
-			}
-			s.order = append(s.order, trigOrder{c, i})
-		default:
-			s.order = append(s.order, trigOrder{0, i})
-		}
-	}
-	sort.SliceStable(s.order, func(a, b int) bool { return s.order[a].trig < s.order[b].trig })
-	return s, nil
-}
-
-// maxTrig returns the last (largest) trigger of a trigger-sorted order.
-func maxTrig(order []trigOrder) uint64 {
-	if len(order) == 0 {
-		return 0
-	}
-	return order[len(order)-1].trig
-}
-
-// notActivatedResult mirrors RunOne's early return for an error that was
-// never injected: the run is the golden run.
-func notActivatedResult(t inject.Target, cycles uint64, checksum uint32) inject.Result {
-	return inject.Result{Target: t, ActivationKnown: t.Campaign != inject.CampSysReg,
-		Outcome: inject.ONotActivated, RunCycles: cycles, Checksum: checksum}
 }
 
 // nodeState is the machine-owning half of a chunkRunner: the guest system,
@@ -364,7 +193,7 @@ type nodeState struct {
 	goldenEnd *machine.RunResult
 }
 
-// chunkRunner executes trigger-sorted slices of a schedule on one system,
+// chunkRunner executes trigger-sorted slices of a plan on one system,
 // chaining one incremental checkpoint along the golden prefix:
 //
 //	for each target (by ascending trigger):
@@ -377,29 +206,29 @@ type nodeState struct {
 // counts of the golden run, a checkpoint taken at the pause for trigger T is
 // bit-identical to the state a from-boot replay pauses in for any trigger in
 // (T, pause], and advancing from it reproduces the from-boot pause for later
-// triggers. Outcomes therefore match replay mode exactly.
+// triggers. Outcomes therefore match ReplayFromBoot exactly.
 //
-// The runner is stateful so a farm node can execute many chunks with one
+// The runner is stateful so a node can execute many chunks with one
 // snapshot chain: as long as successive chunks carry non-decreasing triggers
-// (the dynamic scheduler hands chunks out in global trigger order), the
-// checkpoint only ever advances forward and the invariant above holds across
-// chunk boundaries. A chunk requeued by node failover can carry triggers
-// below the chain position; the runner then restarts its chain from boot (or
-// the best persisted waypoint), which reproduces the same deterministic
-// pause states.
+// (the steal queue hands chunks out in global trigger order, and ctlplane
+// leases arrive the same way), the checkpoint only ever advances forward and
+// the invariant above holds across chunk boundaries. A chunk requeued by
+// node failover can carry triggers below the chain position; the runner then
+// restarts its chain from boot (or the best persisted waypoint), which
+// reproduces the same deterministic pause states.
 //
 // Every injection is executed under the supervision policy (panic isolation,
 // wall-clock watchdog, retry with backoff, quarantine) — see supervise.go.
 type chunkRunner struct {
-	st      *nodeState
-	golden  uint32
-	targets []inject.Target
-	opts    ExecOptions
-	maxTrig uint64
-	sup     supervision
+	st     *nodeState
+	golden uint32
+	opts   ExecOptions
+	sup    supervision
+	// plan is the plan the snapshot chain serves (see executor.run).
+	plan *Plan
 
-	// respawn, when set (farm nodes), builds a replacement guest system
-	// after a watchdog timeout poisoned the current one.
+	// respawn, when set, builds a replacement guest system after a
+	// watchdog timeout poisoned the current one.
 	respawn func() (*kernel.System, error)
 	// injectFrom runs one injection from the prepared machine state;
 	// overridden by tests to seed panics and hangs.
@@ -409,18 +238,14 @@ type chunkRunner struct {
 	fault func(idx int) error
 }
 
-// newChunkRunner prepares a runner; maxTrig is the schedule's largest trigger
-// (it sizes the waypoint stride). The snapshot chain starts lazily on the
-// first attempt. Call close when done.
-func newChunkRunner(sys *kernel.System, golden uint32, targets []inject.Target,
-	opts ExecOptions, maxTrig uint64) *chunkRunner {
+// newChunkRunner prepares a runner on sys. The snapshot chain starts lazily
+// on the first attempt. Call close when done.
+func newChunkRunner(sys *kernel.System, golden uint32, opts ExecOptions) *chunkRunner {
 	return &chunkRunner{
-		st:      &nodeState{sys: sys},
-		golden:  golden,
-		targets: targets,
-		opts:    opts,
-		maxTrig: maxTrig,
-		sup:     opts.supervision(),
+		st:     &nodeState{sys: sys},
+		golden: golden,
+		opts:   opts,
+		sup:    opts.supervision(),
 		injectFrom: func(_ int, sys *kernel.System, t inject.Target, golden uint32) inject.Result {
 			return inject.RunFrom(sys, t, golden)
 		},
@@ -433,10 +258,20 @@ func (r *chunkRunner) close() {
 	}
 }
 
-// run executes one contiguous trigger-sorted slice of the schedule, writing
+// serve points the runner at plan, dropping a snapshot chain built for
+// another plan.
+func (r *chunkRunner) serve(plan *Plan) {
+	if r.plan != plan {
+		r.close()
+		r.st = &nodeState{sys: r.st.sys}
+		r.plan = plan
+	}
+}
+
+// run executes one contiguous trigger-sorted slice of the plan, writing
 // each target's result to out[idx] and reporting completion via done. A
 // permanently lost node surfaces as *nodeLostError carrying the unfinished
-// remainder (including the in-flight entry) for the farm to requeue.
+// remainder (including the in-flight entry) for the executor to requeue.
 func (r *chunkRunner) run(order []trigOrder, out []inject.Result, done func(idx int) error) error {
 	for k, o := range order {
 		res, err := r.runTarget(o)
@@ -460,7 +295,7 @@ func (r *chunkRunner) run(order []trigOrder, out []inject.Result, done func(idx 
 // injection that exhausts its attempt budget is quarantined rather than
 // aborting the campaign.
 func (r *chunkRunner) runTarget(o trigOrder) (inject.Result, error) {
-	t := r.targets[o.idx]
+	t := r.plan.Targets[o.idx]
 	if r.fault != nil {
 		if err := r.fault(o.idx); err != nil {
 			return inject.Result{}, err
@@ -501,11 +336,11 @@ func (r *chunkRunner) runTarget(o trigOrder) (inject.Result, error) {
 }
 
 // replaceNode swaps in a fresh guest system after a watchdog timeout left
-// the current machine to an abandoned goroutine. Single-system runs own
-// their caller's machine and cannot replace it.
+// the current machine to an abandoned goroutine. Runners without respawn
+// (RunWith) run on their caller's machine and cannot replace it.
 func (r *chunkRunner) replaceNode() error {
 	if r.respawn == nil {
-		return fmt.Errorf("campaign: injection exceeded the %v wall-clock watchdog; the machine is unrecoverable outside a farm (run with nodes > 1 for automatic respawn)", r.sup.timeout)
+		return fmt.Errorf("campaign: injection exceeded the %v wall-clock watchdog; the caller's machine is unrecoverable (run through a Farm for automatic respawn)", r.sup.timeout)
 	}
 	sys, err := r.respawn()
 	if err != nil {
@@ -528,7 +363,7 @@ func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inje
 		// through the same deterministic pause states, so outcomes are
 		// unchanged.
 		if r.opts.SnapshotDir != "" && st.way == nil {
-			st.way = newWaypointStore(r.opts.SnapshotDir, snapshot.GoldenKey(m), r.maxTrig)
+			st.way = newWaypointStore(r.opts.SnapshotDir, snapshot.GoldenKey(m), r.plan.maxTrig())
 		}
 		var snap *snapshot.Snapshot
 		if st.way != nil {
@@ -562,82 +397,6 @@ func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inje
 		}
 	}
 	return r.injectFrom(o.idx, st.sys, t, r.golden), nil
-}
-
-// runChunk executes one slice as a standalone runner (the single-system
-// path).
-func runChunk(sys *kernel.System, golden uint32, targets []inject.Target,
-	order []trigOrder, out []inject.Result, opts ExecOptions, done func(idx int) error,
-	maxTrig uint64) error {
-	if len(order) == 0 {
-		return nil
-	}
-	r := newChunkRunner(sys, golden, targets, opts, maxTrig)
-	defer r.close()
-	return r.run(order, out, done)
-}
-
-// replayRunner supervises replay-mode injections (reboot-and-replay from
-// boot). Each attempt is self-contained — RunOne reboots — so retries need
-// no snapshot bookkeeping; a watchdog timeout still poisons the machine and
-// needs a respawn (farm) or aborts (single system).
-type replayRunner struct {
-	sys     *kernel.System
-	golden  uint32
-	sup     supervision
-	respawn func() (*kernel.System, error)
-	// injectOne is inject.RunOne, overridden by tests.
-	injectOne func(idx int, sys *kernel.System, t inject.Target, golden uint32) inject.Result
-	fault     func(idx int) error
-}
-
-func newReplayRunner(sys *kernel.System, golden uint32, opts ExecOptions) *replayRunner {
-	return &replayRunner{
-		sys:    sys,
-		golden: golden,
-		sup:    opts.supervision(),
-		injectOne: func(_ int, sys *kernel.System, t inject.Target, golden uint32) inject.Result {
-			return inject.RunOne(sys, t, golden)
-		},
-	}
-}
-
-// runTarget mirrors chunkRunner.runTarget for replay mode.
-func (r *replayRunner) runTarget(idx int, t inject.Target) (inject.Result, error) {
-	if r.fault != nil {
-		if err := r.fault(idx); err != nil {
-			return inject.Result{}, err
-		}
-	}
-	var diag string
-	for attempt := 1; ; attempt++ {
-		sys := r.sys // pinned: see chunkRunner.runTarget
-		out, timedOut := superviseAttempt(r.sup.timeout, func() (inject.Result, error) {
-			return r.injectOne(idx, sys, t, r.golden), nil
-		})
-		switch {
-		case timedOut:
-			diag = fmt.Sprintf("wall-clock watchdog (%v) exceeded", r.sup.timeout)
-			if r.respawn == nil {
-				return inject.Result{}, fmt.Errorf("campaign: injection exceeded the %v wall-clock watchdog; the machine is unrecoverable outside a farm (run with nodes > 1 for automatic respawn)", r.sup.timeout)
-			}
-			sys, err := r.respawn()
-			if err != nil {
-				return inject.Result{}, fmt.Errorf("campaign: respawn after watchdog timeout: %w", err)
-			}
-			r.sys = sys
-		case out.panicked:
-			diag = out.diag
-		case out.err != nil:
-			return inject.Result{}, out.err
-		default:
-			return out.res, nil
-		}
-		if attempt >= r.sup.maxAttempts {
-			return quarantinedResult(t, attempt, diag), nil
-		}
-		r.sup.sleep(r.sup.backoff << (attempt - 1))
-	}
 }
 
 // waypointStore persists golden-prefix checkpoints under a directory, keyed

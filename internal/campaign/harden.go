@@ -3,13 +3,10 @@ package campaign
 import (
 	"fmt"
 
-	"kfi/internal/cc"
 	"kfi/internal/inject"
 	"kfi/internal/isa"
 	"kfi/internal/kernel"
 	"kfi/internal/kir"
-	"kfi/internal/machine"
-	"kfi/internal/workload"
 )
 
 // HardenStudy is a matched hardened-vs-unhardened comparison on one
@@ -59,38 +56,6 @@ func (s *HardenStudy) CycleOverhead() float64 {
 	return float64(s.HardGoldenCycles) / float64(s.GoldenCycles)
 }
 
-// studySystem is one side of a matched pair: a built guest with its golden
-// checksum, golden run length, and kernel profile.
-type studySystem struct {
-	sys     *kernel.System
-	golden  uint32
-	cycles  uint64
-	profile *Profile
-}
-
-func buildStudySystem(platform isa.Platform, scale int, kopts kernel.Options) (*studySystem, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	uimg, err := cc.Compile(workload.Program(scale), platform, kernel.UserBases)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: harden-study workload: %w", err)
-	}
-	sys, err := kernel.BuildSystem(platform, uimg, workload.StandardProcs(), kopts)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: harden-study system: %w", err)
-	}
-	res := sys.Run()
-	if res.Outcome != machine.OutCompleted {
-		return nil, fmt.Errorf("campaign: harden-study golden run did not complete: %v", res.Outcome)
-	}
-	profile, err := ProfileKernel(sys)
-	if err != nil {
-		return nil, err
-	}
-	return &studySystem{sys: sys, golden: res.Checksum, cycles: res.Cycles, profile: profile}, nil
-}
-
 // RunHardenStudy builds the matched system pair for one platform and runs
 // every spec against both builds. Target generation is anchored to the
 // UNHARDENED system: stack, data, and system-register targets transfer
@@ -107,32 +72,40 @@ func RunHardenStudy(platform isa.Platform, scale int, hopts kir.HardenOpts, spec
 	if !hopts.Enabled() {
 		return nil, fmt.Errorf("campaign: harden study needs at least one hardening pass enabled")
 	}
-	plain, err := buildStudySystem(platform, scale, kernel.Options{})
+	plain, err := NewGuest(platform, scale, kernel.Options{})
 	if err != nil {
 		return nil, err
 	}
-	hard, err := buildStudySystem(platform, scale, kernel.Options{Harden: hopts})
+	hard, err := NewGuest(platform, scale, kernel.Options{Harden: hopts})
 	if err != nil {
 		return nil, err
 	}
 	study := &HardenStudy{
 		Platform:         platform,
 		Opts:             hopts,
-		CodeBytes:        len(plain.sys.KernelImage.Code),
-		HardCodeBytes:    len(hard.sys.KernelImage.Code),
-		GoldenCycles:     plain.cycles,
-		HardGoldenCycles: hard.cycles,
+		CodeBytes:        len(plain.Sys.KernelImage.Code),
+		HardCodeBytes:    len(hard.Sys.KernelImage.Code),
+		GoldenCycles:     plain.Cycles,
+		HardGoldenCycles: hard.Cycles,
 	}
 	total := 0
 	for _, spec := range specs {
 		total += 2 * spec.N
 	}
 	done := 0
-	tick := func() {
+	tick := func(int, int) {
 		done++
 		if progress != nil {
 			progress(done, total)
 		}
+	}
+	runSide := func(g *Guest, spec Spec, targets []inject.Target) ([]inject.Result, error) {
+		res, err := run([]*kernel.System{g.Sys}, g.Build, execHooks{}, g.Golden, g.Profile,
+			spec, targets, tick, ExecOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return res.Results, nil
 	}
 	for _, spec := range specs {
 		plainTargets, hardTargets, err := matchedTargets(plain, hard, spec)
@@ -140,10 +113,10 @@ func RunHardenStudy(platform isa.Platform, scale int, hopts kir.HardenOpts, spec
 			return nil, err
 		}
 		row := HardenRow{Spec: spec}
-		if row.Plain, err = runTargets(plain, plainTargets, tick); err != nil {
+		if row.Plain, err = runSide(plain, spec, plainTargets); err != nil {
 			return nil, err
 		}
-		if row.Hard, err = runTargets(hard, hardTargets, tick); err != nil {
+		if row.Hard, err = runSide(hard, spec, hardTargets); err != nil {
 			return nil, err
 		}
 		study.Rows = append(study.Rows, row)
@@ -152,17 +125,16 @@ func RunHardenStudy(platform isa.Platform, scale int, hopts kir.HardenOpts, spec
 }
 
 // matchedTargets generates one spec's target lists for both builds. The
-// unhardened system's profile length seeds the delay distribution for BOTH
-// generators, so delay-triggered targets are identical on each side.
-func matchedTargets(plain, hard *studySystem, spec Spec) (pt, ht []inject.Target, err error) {
-	runCycles := profileCycles(plain.profile)
-	gen := NewGenerator(plain.sys, plain.profile, spec.Seed, runCycles)
-	if pt, err = gen.Targets(spec); err != nil {
+// hardened side reuses the unhardened list, so delay-triggered targets
+// strike the same workload phase on each side; code targets alone are
+// re-derived against the hardened image (code targets draw no delay, so
+// only the image differs).
+func matchedTargets(plain, hard *Guest, spec Spec) (pt, ht []inject.Target, err error) {
+	if pt, err = Targets(plain.Sys, plain.Profile, spec); err != nil {
 		return nil, nil, err
 	}
 	if spec.Campaign == inject.CampCode {
-		hgen := NewGenerator(hard.sys, hard.profile, spec.Seed, runCycles)
-		if ht, err = hgen.Targets(spec); err != nil {
+		if ht, err = Targets(hard.Sys, hard.Profile, spec); err != nil {
 			return nil, nil, err
 		}
 		return pt, ht, nil
@@ -170,24 +142,4 @@ func matchedTargets(plain, hard *studySystem, spec Spec) (pt, ht []inject.Target
 	ht = make([]inject.Target, len(pt))
 	copy(ht, pt)
 	return pt, ht, nil
-}
-
-// runTargets executes an explicit target list on one system through the
-// ordinary fork-from-golden scheduler.
-func runTargets(ss *studySystem, targets []inject.Target, tick func()) ([]inject.Result, error) {
-	sched, err := buildSchedule(ss.sys, targets, ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]inject.Result, len(targets))
-	for i, r := range sched.pre {
-		results[i] = r
-		tick()
-	}
-	err = runChunk(ss.sys, ss.golden, targets, sched.order, results, ExecOptions{},
-		func(int) error { tick(); return nil }, maxTrig(sched.order))
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }

@@ -3,129 +3,61 @@ package campaign
 import (
 	"fmt"
 
-	"kfi/internal/cc"
 	"kfi/internal/inject"
 	"kfi/internal/isa"
 	"kfi/internal/kernel"
-	"kfi/internal/platform"
-	"kfi/internal/workload"
 )
 
 // NodeRunner is the exported per-node execution seam: one guest system with
-// its golden checksum and kernel profile, able to plan a campaign's trigger
-// schedule and execute arbitrary subsets of its targets. It is the same core
-// a Farm wraps in goroutines, packaged for out-of-process schedulers — the
-// internal/ctlplane worker agent runs leased chunks through a NodeRunner
-// exactly the way a farm node runs stolen chunks, so a distributed campaign's
-// per-index results are identical to an in-process run of the same spec.
+// its golden checksum and kernel profile, able to plan a campaign and
+// execute arbitrary subsets of its targets. It feeds the same executor a
+// Farm runs, packaged for out-of-process schedulers — the internal/ctlplane
+// worker agent runs leased chunks through a NodeRunner, so a distributed
+// campaign's per-index results are identical to an in-process run of the
+// same spec.
 type NodeRunner struct {
-	platform  isa.Platform
-	sys       *kernel.System
-	golden    uint32
-	profile   *Profile
-	buildNode func() (*kernel.System, error)
-
-	// runner persists one snapshot chain across successive RunIndices calls
+	guest *Guest
+	// ex keeps its snapshot chain across successive RunIndices calls
 	// against the same plan — the chain advances forward as long as leases
-	// arrive in ascending trigger order, exactly like a farm node stealing
-	// ascending chunks, and restarts itself for requeued earlier triggers.
-	runner     *chunkRunner
-	runnerPlan *Plan
-	// engine is the execution engine of the last RunIndices call, reapplied
-	// to post-watchdog replacement systems.
-	engine platform.EngineKind
+	// arrive in ascending trigger order, and restarts itself for requeued
+	// earlier triggers.
+	ex *executor
 }
 
 // NewNodeRunner builds one guest system of the given platform and workload
-// scale, measures its golden checksum, and profiles kernel usage — the same
-// construction sequence as a farm node.
+// scale, measures its golden checksum, and profiles kernel usage.
 func NewNodeRunner(platform isa.Platform, scale int, opts kernel.Options) (*NodeRunner, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	uimg, err := cc.Compile(workload.Program(scale), platform, kernel.UserBases)
+	g, err := NewGuest(platform, scale, opts)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: node workload: %w", err)
-	}
-	nr := &NodeRunner{platform: platform}
-	nr.buildNode = func() (*kernel.System, error) {
-		return kernel.BuildSystem(platform, uimg, workload.StandardProcs(), opts)
-	}
-	if nr.sys, err = nr.buildNode(); err != nil {
-		return nil, fmt.Errorf("campaign: node system: %w", err)
-	}
-	if nr.golden, err = Golden(nr.sys); err != nil {
 		return nil, err
 	}
-	if nr.profile, err = ProfileKernel(nr.sys); err != nil {
-		return nil, err
-	}
-	return nr, nil
+	return &NodeRunner{guest: g}, nil
 }
 
 // Platform returns the node's platform.
-func (nr *NodeRunner) Platform() isa.Platform { return nr.platform }
+func (nr *NodeRunner) Platform() isa.Platform { return nr.guest.Sys.Platform }
 
 // Golden returns the fault-free benchmark checksum.
-func (nr *NodeRunner) Golden() uint32 { return nr.golden }
+func (nr *NodeRunner) Golden() uint32 { return nr.guest.Golden }
 
 // Profile returns the measured kernel-usage profile.
-func (nr *NodeRunner) Profile() *Profile { return nr.profile }
+func (nr *NodeRunner) Profile() *Profile { return nr.guest.Profile }
 
-// Plan is a campaign's deterministic execution plan: the pre-generated
-// targets, the trigger-sorted execution order (target indices), and the
-// results synthesized without execution (code targets whose instruction the
-// golden run never reaches). Two NodeRunners of the same platform and scale
-// produce identical Plans for the same spec — target generation is seeded
-// and the guest is deterministic — which is what lets a coordinator plan a
-// campaign that remote workers re-derive independently.
-type Plan struct {
-	Targets []inject.Target
-	// Order lists the target indices that actually execute, sorted by
-	// trigger cycle (the order a snapshot chain wants them in).
-	Order []int
-	// Pre maps target indices to synthesized never-activated results; they
-	// are complete without running anything.
-	Pre map[int]inject.Result
-
-	// order backs Order with the trigger cycles, so executing a subset
-	// never re-traces the golden run.
-	order []trigOrder
-}
-
-// Plan generates the spec's targets and builds its trigger-sorted schedule.
-// The golden-run trace it may require (code campaigns) runs once; every
-// RunIndices call against the returned plan reuses it.
+// Plan builds the spec's plan with default options. The golden-run trace it
+// may require (code campaigns) runs once; every RunIndices call against the
+// returned plan reuses it.
 func (nr *NodeRunner) Plan(spec Spec) (*Plan, error) {
-	gen := NewGenerator(nr.sys, nr.profile, spec.Seed, profileCycles(nr.profile))
-	targets, err := gen.Targets(spec)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := buildSchedule(nr.sys, targets, ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{Targets: targets, Order: make([]int, 0, len(sched.order)),
-		Pre: sched.pre, order: sched.order}
-	for _, o := range sched.order {
-		p.Order = append(p.Order, o.idx)
-	}
-	return p, nil
+	return NewPlan(nr.guest.Sys, nr.guest.Golden, nr.guest.Profile, spec, nil, ExecOptions{})
 }
 
 // RunIndices executes the plan's targets whose indices appear in want,
-// calling each with every completed result. Execution follows the plan's
-// trigger order regardless of the order of want, so the node's snapshot
-// chain only ever advances forward; indices covered by the plan's Pre set
-// are reported from it without running. Results are identical to the same
-// indices executed by Run, a Farm, or any other NodeRunner.
+// calling each with every completed result: first the plan's synthesized
+// rows (by ascending index), then executed rows in the plan's trigger order
+// regardless of the order of want, so the node's snapshot chain only ever
+// advances forward. Results are identical to the same indices executed by
+// RunWith, a Farm, or any other NodeRunner.
 func (nr *NodeRunner) RunIndices(plan *Plan, want []int, opts ExecOptions,
 	each func(idx int, res inject.Result) error) error {
-	if err := nr.sys.Machine.SetEngine(opts.Engine); err != nil {
-		return err
-	}
-	nr.engine = opts.Engine
 	wanted := make(map[int]bool, len(want))
 	for _, i := range want {
 		if i < 0 || i >= len(plan.Targets) {
@@ -133,54 +65,29 @@ func (nr *NodeRunner) RunIndices(plan *Plan, want []int, opts ExecOptions,
 		}
 		wanted[i] = true
 	}
-	for idx, r := range plan.Pre {
-		if !wanted[idx] {
-			continue
-		}
-		delete(wanted, idx)
-		if err := each(idx, r); err != nil {
+	if nr.ex == nil || nr.ex.opts.Engine != opts.Engine {
+		nr.Close()
+		ex, err := newExecutor([]*kernel.System{nr.guest.Sys}, nr.guest.Golden, opts,
+			nr.guest.Build, execHooks{})
+		if err != nil {
 			return err
 		}
+		nr.ex = ex
 	}
-	if len(wanted) == 0 {
-		return nil
-	}
-	order := make([]trigOrder, 0, len(wanted))
-	for _, o := range plan.order {
-		if wanted[o.idx] {
-			order = append(order, o)
-		}
-	}
-	if nr.runner == nil || nr.runnerPlan != plan {
-		nr.Close()
-		nr.runner = newChunkRunner(nr.sys, nr.golden, plan.Targets, opts, maxTrig(plan.order))
-		nr.runner.respawn = nr.respawnRunner
-		nr.runnerPlan = plan
-	}
-	results := make([]inject.Result, len(plan.Targets))
-	return nr.runner.run(order, results, func(idx int) error { return each(idx, results[idx]) })
-}
-
-// respawnRunner replaces the node's guest system after a watchdog timeout
-// poisoned it, keeping the NodeRunner and its runner pointed at the
-// replacement.
-func (nr *NodeRunner) respawnRunner() (*kernel.System, error) {
-	sys, err := nr.buildNode()
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Machine.SetEngine(nr.engine); err != nil {
-		return nil, err
-	}
-	nr.sys = sys
-	return sys, nil
+	out := make([]inject.Result, len(plan.Targets))
+	err := plan.execute(nr.ex, func(idx int) bool { return wanted[idx] }, out,
+		func(idx int, _ bool) error { return each(idx, out[idx]) })
+	// A watchdog respawn may have replaced the node's system; plan on the
+	// live one from now on.
+	nr.guest.Sys = nr.ex.runners[0].st.sys
+	return err
 }
 
 // Close releases the node's snapshot-chain state. The NodeRunner remains
 // usable; the next RunIndices starts a fresh chain.
 func (nr *NodeRunner) Close() {
-	if nr.runner != nil {
-		nr.runner.close()
-		nr.runner, nr.runnerPlan = nil, nil
+	if nr.ex != nil {
+		nr.ex.close()
+		nr.ex = nil
 	}
 }

@@ -108,17 +108,6 @@ func TestPruneEquivalenceAndSoundness(t *testing.T) {
 	}
 }
 
-// TestPruneRejectedInReplay: replay mode never traces the golden run, so
-// pruning must be refused, not silently ignored.
-func TestPruneRejectedInReplay(t *testing.T) {
-	sys, golden, prof := getSystem(t, isa.CISC)
-	_, err := RunWith(sys, golden, prof, Spec{Campaign: inject.CampCode, N: 1, Seed: 1}, nil,
-		ExecOptions{Prune: true, Replay: true})
-	if err == nil {
-		t.Fatal("Prune+Replay accepted")
-	}
-}
-
 // TestSenseAnnotatesStackTargets: stack targets are classified lazily from
 // the address the injection resolved, so executed stack rows carry a
 // prediction from the task-layout model while rows whose injection never

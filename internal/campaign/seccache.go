@@ -78,11 +78,11 @@ type sectionSet struct {
 // openSectionCache decomposes the target list into sections and computes
 // their content keys. Returns nil (inert) when caching is off.
 func openSectionCache(sys *kernel.System, golden uint32, spec Spec,
-	targets []inject.Target, sched *schedule, opts ExecOptions) (*sectionSet, error) {
+	targets []inject.Target, tr *goldenTrace, opts ExecOptions) (*sectionSet, error) {
 	if opts.SectionCache == "" {
 		return nil, nil
 	}
-	if sched.golden == nil {
+	if tr == nil {
 		return nil, fmt.Errorf("campaign: section cache requires a traced golden run")
 	}
 	byName := map[string][]int{}
@@ -100,12 +100,12 @@ func openSectionCache(sys *kernel.System, golden uint32, spec Spec,
 		byName[name] = append(byName[name], i)
 	}
 	sort.Strings(names)
-	base := newSectionHasher(sys, golden, spec, sched.golden, opts)
+	base := newSectionHasher(sys, golden, spec, tr, opts)
 	ss := &sectionSet{dir: opts.SectionCache, targets: targets,
 		secs: make([]section, 0, len(names)), hit: make([]bool, len(names)), onSec: opts.onSection}
 	for _, name := range names {
 		idxs := byName[name]
-		key, err := base.sectionKey(sys, sched.golden, name, idxs, targets)
+		key, err := base.sectionKey(sys, tr, name, idxs, targets)
 		if err != nil {
 			return nil, err
 		}
@@ -205,13 +205,14 @@ func (ss *sectionSet) path(sec *section) string {
 }
 
 // restore satisfies every section whose key is present and intact in the
-// cache directory: its rows are written into the result table, marked in
-// the skip mask, and completed (journaled) exactly as executed rows are.
+// cache directory: its rows are returned, in section order, to be completed
+// (journaled) exactly as executed rows are, and marked in the skip mask.
 // Rows already satisfied by a journal resume are left alone.
-func (ss *sectionSet) restore(rec *recorder, skip []bool) error {
+func (ss *sectionSet) restore(skip []bool) []readyRow {
 	if ss == nil {
 		return nil
 	}
+	var out []readyRow
 	for si := range ss.secs {
 		sec := &ss.secs[si]
 		rows, ok := ss.load(sec)
@@ -226,14 +227,11 @@ func (ss *sectionSet) restore(rec *recorder, skip []bool) error {
 			if skip[idx] {
 				continue
 			}
-			rec.results[idx] = rows[idx]
+			out = append(out, readyRow{idx: idx, res: rows[idx], journal: true})
 			skip[idx] = true
-			if err := rec.complete(idx, true); err != nil {
-				return err
-			}
 		}
 	}
-	return nil
+	return out
 }
 
 // load reads and validates one section file. Any damage — a missing file, a

@@ -275,14 +275,3 @@ func TestSectionCacheModifiedSection(t *testing.T) {
 		})
 	}
 }
-
-// TestSectionCacheRejectedInReplay: replay mode never traces the golden run
-// the cache keys fingerprint, so caching must be refused, not ignored.
-func TestSectionCacheRejectedInReplay(t *testing.T) {
-	sys, golden, prof := getSystem(t, isa.CISC)
-	_, err := RunWith(sys, golden, prof, Spec{Campaign: inject.CampCode, N: 1, Seed: 1}, nil,
-		ExecOptions{Replay: true, SectionCache: t.TempDir()})
-	if err == nil {
-		t.Fatal("SectionCache+Replay accepted")
-	}
-}

@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"fmt"
-
 	"kfi/internal/inject"
 	"kfi/internal/kernel"
 	"kfi/internal/staticsense"
@@ -29,9 +27,6 @@ type sensePass struct {
 func buildSense(sys *kernel.System, targets []inject.Target, opts ExecOptions) (*sensePass, error) {
 	if !opts.Sense && !opts.Prune {
 		return nil, nil
-	}
-	if opts.Prune && opts.Replay {
-		return nil, fmt.Errorf("campaign: Prune requires the fork-from-golden scheduler; replay mode never traces the golden run the synthesized results come from")
 	}
 	cfg := staticsense.Config{
 		Image:      sys.KernelImage,
@@ -124,27 +119,27 @@ func (sp *sensePass) annotate(idx int, r *inject.Result) {
 }
 
 // prunePre moves every predicted-inert skippable entry out of the trigger
-// order and into the schedule's synthesized results. Only entries that made
-// it into the order are prunable — a code target the golden run never
-// reaches is already a synthesized not-activated result, which is more
-// precise than the analyzer's activated-but-inert verdict.
-func prunePre(sched *schedule, targets []inject.Target, sp *sensePass, opts ExecOptions) {
-	if sp == nil || !opts.Prune || sched.golden == nil {
+// order and into the plan's synthesized rows. Only entries that made it
+// into the order are prunable — a code target the golden run never reaches
+// is already a synthesized not-activated result, which is more precise than
+// the analyzer's activated-but-inert verdict.
+func prunePre(p *Plan, sp *sensePass, opts ExecOptions) {
+	if sp == nil || !opts.Prune || p.golden == nil {
 		return
 	}
-	kept := sched.order[:0]
-	for _, o := range sched.order {
-		t := targets[o.idx]
+	kept := p.order[:0]
+	for _, o := range p.order {
+		t := p.Targets[o.idx]
 		// A sysreg trigger landing exactly on the golden end cycle sits on
 		// the pause-versus-complete boundary; leave it to the runner.
-		boundary := t.Campaign == inject.CampSysReg && t.Delay == sched.golden.cycles
+		boundary := t.Campaign == inject.CampSysReg && t.Delay == p.golden.cycles
 		if sp.prune[o.idx] && !boundary {
-			sched.pre[o.idx] = synthPruned(t, sched.golden)
+			p.Pre[o.idx] = synthPruned(t, p.golden)
 			continue
 		}
 		kept = append(kept, o)
 	}
-	sched.order = kept
+	p.order = kept
 }
 
 // synthPruned synthesizes the outcome the soundness argument (DESIGN.md

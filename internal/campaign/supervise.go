@@ -56,8 +56,8 @@ func (o ExecOptions) supervision() supervision {
 // to the steal queue, and a replacement node takes over.
 var errNodeDown = errors.New("campaign: node lost")
 
-// nodeLostError carries a dead node's unfinished work back to the farm
-// scheduler, including the entry that was in flight when the node died.
+// nodeLostError carries a dead node's unfinished work back to the executor's
+// supervisor, including the entry that was in flight when the node died.
 type nodeLostError struct {
 	remaining []trigOrder
 	cause     error

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"kfi/internal/campaign"
-	"kfi/internal/cc"
 	"kfi/internal/crashnet"
 	"kfi/internal/inject"
 	"kfi/internal/isa"
@@ -22,7 +21,6 @@ import (
 	"kfi/internal/kir"
 	"kfi/internal/platform"
 	"kfi/internal/stats"
-	"kfi/internal/workload"
 )
 
 // System bundles a bootable guest with its golden checksum and kernel
@@ -55,33 +53,23 @@ type BuildOptions struct {
 // BuildSystem compiles kernel + workload for the platform, boots, seals,
 // measures the golden checksum, and profiles kernel usage.
 func BuildSystem(platform isa.Platform, opts BuildOptions) (*System, error) {
-	if opts.Scale < 1 {
-		opts.Scale = 1
-	}
-	uimg, err := cc.Compile(workload.Program(opts.Scale), platform, kernel.UserBases)
-	if err != nil {
-		return nil, fmt.Errorf("core: compile workload: %w", err)
-	}
-	sys, err := kernel.BuildSystem(platform, uimg, workload.StandardProcs(), kernel.Options{
-		TimerPeriod:    opts.TimerPeriod,
-		Watchdog:       opts.Watchdog,
-		CrashSender:    opts.CrashSender,
-		Prog:           opts.Kernel,
-		NoStackWrapper: opts.NoStackWrapper,
-		Harden:         opts.Harden,
-	})
+	g, err := campaign.NewGuest(platform, opts.Scale, opts.kernelOptions())
 	if err != nil {
 		return nil, err
 	}
-	golden, err := campaign.Golden(sys)
-	if err != nil {
-		return nil, err
+	return &System{Sys: g.Sys, Golden: g.Golden, Profile: g.Profile}, nil
+}
+
+// kernelOptions maps the build options onto the guest kernel's.
+func (o BuildOptions) kernelOptions() kernel.Options {
+	return kernel.Options{
+		TimerPeriod:    o.TimerPeriod,
+		Watchdog:       o.Watchdog,
+		CrashSender:    o.CrashSender,
+		Prog:           o.Kernel,
+		NoStackWrapper: o.NoStackWrapper,
+		Harden:         o.Harden,
 	}
-	profile, err := campaign.ProfileKernel(sys)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Sys: sys, Golden: golden, Profile: profile}, nil
 }
 
 // Campaigns in the paper's table order.
@@ -115,9 +103,9 @@ type Config struct {
 	// Burst widens the error model: 0 or 1 is the paper's single-bit flip,
 	// k > 1 flips k adjacent bits per injection.
 	Burst uint8
-	// Exec selects the campaign execution mode (zero value: fork-from-golden
-	// snapshot scheduling; Replay forces per-injection reboot-and-replay) and
-	// the per-injection supervision policy.
+	// Exec holds the campaign execution options: engine, snapshot
+	// waypoints, sense/prune, section cache, and the per-injection
+	// supervision policy (zero value: defaults throughout).
 	Exec campaign.ExecOptions
 	// JournalDir, when set, durably journals every completed outcome to one
 	// append-only file per (platform, campaign) under this directory, so an
@@ -129,9 +117,9 @@ type Config struct {
 	// an empty one) simply start from the beginning.
 	Resume bool
 	// Nodes runs each platform's campaigns on a farm of this many identical
-	// guest systems (0 or 1: a single system). Per-index results are
-	// identical to a single-node run of the same seed; only wall-clock
-	// changes.
+	// guest systems (0 or 1: a single system, still respawned after a
+	// watchdog timeout). Per-index results are identical for every node
+	// count; only wall-clock changes.
 	Nodes int
 	// Progress, when set, receives per-injection progress.
 	Progress func(p isa.Platform, c inject.Campaign, done, total int)
@@ -180,33 +168,11 @@ func Run(cfg Config) (*StudyResult, error) {
 	}
 	out := &StudyResult{PerPlatform: make(map[isa.Platform]*PlatformResult)}
 	for _, p := range cfg.Platforms {
-		var (
-			system *System
-			farm   *campaign.Farm
-			golden uint32
-			err    error
-		)
-		if cfg.Nodes > 1 {
-			farm, err = campaign.NewFarm(p, cfg.Nodes, cfg.Build.Scale, kernel.Options{
-				TimerPeriod:    cfg.Build.TimerPeriod,
-				Watchdog:       cfg.Build.Watchdog,
-				CrashSender:    cfg.Build.CrashSender,
-				Prog:           cfg.Build.Kernel,
-				NoStackWrapper: cfg.Build.NoStackWrapper,
-				Harden:         cfg.Build.Harden,
-			})
-			if err == nil {
-				golden = farm.Golden()
-			}
-		} else {
-			system, err = BuildSystem(p, cfg.Build)
-			if err == nil {
-				golden = system.Golden
-			}
-		}
+		farm, err := campaign.NewFarm(p, cfg.Nodes, cfg.Build.Scale, cfg.Build.kernelOptions())
 		if err != nil {
 			return nil, err
 		}
+		golden := farm.Golden()
 		pr := &PlatformResult{Platform: p, Golden: golden,
 			Outcomes: make(map[inject.Campaign]*CampaignOutcome)}
 		out.PerPlatform[p] = pr
@@ -232,13 +198,7 @@ func Run(cfg Config) (*StudyResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			var res *campaign.Result
-			if farm != nil {
-				res, err = farm.RunWith(spec, progress, exec)
-			} else {
-				res, err = campaign.RunWith(system.Sys, system.Golden, system.Profile,
-					spec, progress, exec)
-			}
+			res, err := farm.RunWith(spec, progress, exec)
 			if exec.Journal != nil {
 				if cerr := exec.Journal.Close(); cerr != nil && err == nil {
 					err = cerr

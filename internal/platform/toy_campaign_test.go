@@ -204,17 +204,17 @@ func TestToyPlatformMiniCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v fork-from-golden: %v", spec.Campaign, err)
 		}
-		replay, err := campaign.RunWith(sys, golden, profile, spec, nil,
-			campaign.ExecOptions{Replay: true})
+		targets, err := campaign.Targets(sys, profile, spec)
 		if err != nil {
-			t.Fatalf("%v replay: %v", spec.Campaign, err)
+			t.Fatalf("%v targets: %v", spec.Campaign, err)
 		}
-		if !reflect.DeepEqual(fork.Results, replay.Results) {
+		replay := campaign.ReplayFromBoot(sys, golden, targets)
+		if !reflect.DeepEqual(fork.Results, replay) {
 			t.Errorf("%v: fork-from-golden and replay outcomes differ", spec.Campaign)
 			for i := range fork.Results {
-				if !reflect.DeepEqual(fork.Results[i], replay.Results[i]) {
+				if !reflect.DeepEqual(fork.Results[i], replay[i]) {
 					t.Errorf("  injection %d:\n    fork:   %+v\n    replay: %+v",
-						i, fork.Results[i], replay.Results[i])
+						i, fork.Results[i], replay[i])
 				}
 			}
 			continue

@@ -128,24 +128,26 @@ func InjectOne(sys *System, t Target) Result {
 }
 
 // NewTargets pre-generates n targets for a campaign (STEP 1 of the paper's
-// automated process).
+// automated process): the same targets a campaign of the same seed plans.
 func NewTargets(sys *System, camp Campaign, n int, seed int64) ([]Target, error) {
-	gen := campaign.NewGenerator(sys.Sys, sys.Profile, seed, 0)
-	return gen.Targets(campaign.Spec{Campaign: camp, N: n, Seed: seed})
+	return campaign.Targets(sys.Sys, sys.Profile, campaign.Spec{Campaign: camp, N: n, Seed: seed})
 }
 
-// RunCampaign executes one campaign of n injections on a built system using
-// the default fork-from-golden execution mode (see ExecOptions).
+// RunCampaign executes one campaign of n injections on a built system with
+// the default execution options (see ExecOptions).
 func RunCampaign(sys *System, camp Campaign, n int, seed int64, progress func(done, total int)) (*CampaignOutcome, error) {
 	return core.RunCampaignOn(sys, camp, n, seed, progress)
 }
 
-// ExecOptions select how campaigns execute injections: the zero value is
-// fork-from-golden snapshot scheduling (checkpoint the golden prefix once,
-// restore-inject-resume per experiment); Replay forces the paper's literal
-// reboot-and-replay-from-boot procedure; SnapshotDir persists golden-prefix
-// waypoint snapshots for reuse across invocations; Engine selects the
-// execution engine (see EngineKind).
+// ExecOptions tune how campaigns execute injections. Every campaign runs
+// fork-from-golden (checkpoint the golden prefix once, restore-inject-resume
+// per experiment), with outcomes identical to the paper's literal
+// reboot-and-replay procedure. Engine selects the execution engine (see
+// EngineKind); SnapshotDir persists golden-prefix waypoint snapshots for
+// reuse across invocations; Journal/Completed make a campaign resumable;
+// Sense, Prune and SectionCache enable the static pre-pass, inert-row
+// pruning and the per-section outcome cache; the remaining fields set the
+// per-injection supervision policy.
 type ExecOptions = campaign.ExecOptions
 
 // EngineKind selects the execution engine a guest runs on. The zero value is

@@ -1,10 +1,12 @@
 package kfi_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"kfi"
+	"kfi/internal/campaign"
 )
 
 // The root package is a facade; these tests exercise the public API surface
@@ -167,5 +169,35 @@ func TestWilsonFacade(t *testing.T) {
 	lo, hi := kfi.Wilson95(50, 100)
 	if lo >= 50 || hi <= 50 {
 		t.Errorf("Wilson95(50, 100) = [%f, %f]", lo, hi)
+	}
+}
+
+// TestNewTargetsMatchPlan: NewTargets is the plan's target step, so it
+// returns exactly the targets a campaign of the same seed plans — mid-run
+// delays included. (Result.Target would not do as the reference: injection
+// resolves stack addresses into it.)
+func TestNewTargetsMatchPlan(t *testing.T) {
+	for _, p := range kfi.Platforms {
+		sys := apiSystem(t)
+		if p != kfi.P4 {
+			var err error
+			if sys, err = kfi.BuildSystem(p, kfi.BuildOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, camp := range []kfi.Campaign{kfi.Stack, kfi.SysRegs, kfi.Data, kfi.Code} {
+			got, err := kfi.NewTargets(sys, camp, 20, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := campaign.NewPlan(sys.Sys, sys.Golden, sys.Profile,
+				campaign.Spec{Campaign: camp, N: 20, Seed: 7}, nil, campaign.ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, plan.Targets) {
+				t.Errorf("%v %v: NewTargets differs from the campaign plan's targets", p, camp)
+			}
+		}
 	}
 }

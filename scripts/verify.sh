@@ -3,7 +3,8 @@
 #
 #   sh scripts/verify.sh         (or: make verify)
 #
-# Runs build, vet, and the full test suite, then a single iteration of the
+# Runs build, vet (of the root module and the nested campaignbench/ module),
+# and the full test suite, then a single iteration of the
 # Snapshot benchmarks, which rewrites BENCH_snapshot.json in the repo root
 # with the replay-from-boot vs restore-from-snapshot numbers on this host.
 set -eu
@@ -15,6 +16,9 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== campaignbench: go build + go vet (nested module, skipped by ./...)"
+(cd campaignbench && go build -o /dev/null ./... && go vet ./...)
 
 echo "== lint (gofmt + exhaustive outcome switches + deterministic-path rules)"
 sh scripts/lint.sh
