@@ -35,7 +35,7 @@ bench:
 
 # One-iteration whole-target static-sense + incremental-cache benchmark on
 # both platforms; rewrites BENCH_sense.json (per-target inert fractions,
-# pruned-campaign speedup, cold/warm section-cache speedup).
+# sense-annotated campaign time, cold/warm section-cache speedup).
 bench-sense:
 	$(GO) test . -run '^$$' -bench StaticSense -benchtime 1x
 
@@ -44,6 +44,6 @@ bench-sense:
 bench-harden:
 	$(GO) test . -run '^$$' -bench BenchmarkHarden -benchtime 1x
 
-# Tier-1 gate + snapshot smoke run (see scripts/verify.sh).
+# Tier-1 gate + reduced-size benchmark smoke runs (see scripts/verify.sh).
 verify:
 	sh scripts/verify.sh

@@ -53,6 +53,22 @@ var (
 	benchErr  error
 )
 
+// writeBench records a benchmark's per-platform rows in the named BENCH
+// file when every platform produced one. -short runs are reduced-size smoke
+// tests, so they never overwrite the committed full-size figures.
+func writeBench[R any](b *testing.B, name string, rows map[string]R) {
+	if len(rows) != len(kfi.Platforms) || testing.Short() {
+		return
+	}
+	buf, err := json.MarshalIndent(rows, "", "  ")
+	if err == nil {
+		err = os.WriteFile(name, append(buf, '\n'), 0o644)
+	}
+	if err != nil {
+		b.Logf("%s: %v", name, err)
+	}
+}
+
 func benchSystem(b *testing.B, p kfi.Platform) *kfi.System {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -739,7 +755,10 @@ func BenchmarkSnapshotSpeedup(b *testing.B) {
 		p := p
 		b.Run(p.Short(), func(b *testing.B) {
 			sys := benchSystem(b, p)
-			const n = 150
+			n := 150
+			if testing.Short() {
+				n = 40
+			}
 			seed := int64(910) + int64(p)
 
 			// The batch's targets: the same ones the campaign below plans.
@@ -852,13 +871,7 @@ func BenchmarkSnapshotSpeedup(b *testing.B) {
 			}
 		})
 	}
-	if len(rows) == len(kfi.Platforms) {
-		if buf, err := json.MarshalIndent(rows, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_snapshot.json", append(buf, '\n'), 0o644); err != nil {
-				b.Logf("BENCH_snapshot.json: %v", err)
-			}
-		}
-	}
+	writeBench(b, "BENCH_snapshot.json", rows)
 }
 
 // BenchmarkSnapshotRestoreVsReboot isolates the primitive the speedup rests
@@ -1183,13 +1196,7 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 			}
 		})
 	}
-	if len(rows) == len(kfi.Platforms) {
-		if buf, err := json.MarshalIndent(rows, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_exec.json", append(buf, '\n'), 0o644); err != nil {
-				b.Logf("BENCH_exec.json: %v", err)
-			}
-		}
-	}
+	writeBench(b, "BENCH_exec.json", rows)
 }
 
 // --- Static error-sensitivity analysis ------------------------------------
@@ -1197,30 +1204,26 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 // BenchmarkStaticSense measures the whole-target static analyzer's costs
 // and payoffs on both platforms: the one-time whole-target sweep time (all
 // four injection spaces — code, data, stack, sysreg), the fraction of each
-// space it proves inert, the end-to-end code-campaign speedup from pruning
-// predicted-inert sites, and the incremental-campaign speedup from a warm
-// per-section outcome cache. The pruned and unpruned campaigns' outcome
-// tables must match byte-for-byte, and the warm cached run must reproduce
-// the cold run's table exactly. Results go to BENCH_sense.json.
+// space it proves inert, the cost of a sense-annotated code campaign, and
+// the incremental-campaign speedup from a warm per-section outcome cache.
+// The warm cached run must reproduce the cold run's table exactly. Results
+// go to BENCH_sense.json.
 func BenchmarkStaticSense(b *testing.B) {
 	type targetRow struct {
 		Sites    int     `json:"sites"`
 		InertPct float64 `json:"inert_pct"`
 	}
 	type row struct {
-		AnalysisNS       int64                `json:"analysis_ns"`
-		Sites            int                  `json:"sites"`
-		InertPct         float64              `json:"inert_pct"`
-		Targets          map[string]targetRow `json:"targets"`
-		CampaignFullNS   int64                `json:"campaign_full_ns"`
-		CampaignPrunedNS int64                `json:"campaign_pruned_ns"`
-		CampaignSpeedup  float64              `json:"campaign_speedup"`
-		CacheColdNS      int64                `json:"cache_cold_ns"`
-		CacheWarmNS      int64                `json:"cache_warm_ns"`
-		CacheSpeedup     float64              `json:"cache_speedup"`
-		Injections       int                  `json:"injections"`
-		Skipped          int                  `json:"skipped"`
-		TablesIdentical  bool                 `json:"tables_identical"`
+		AnalysisNS      int64                `json:"analysis_ns"`
+		Sites           int                  `json:"sites"`
+		InertPct        float64              `json:"inert_pct"`
+		Targets         map[string]targetRow `json:"targets"`
+		CampaignFullNS  int64                `json:"campaign_full_ns"`
+		CacheColdNS     int64                `json:"cache_cold_ns"`
+		CacheWarmNS     int64                `json:"cache_warm_ns"`
+		CacheSpeedup    float64              `json:"cache_speedup"`
+		Injections      int                  `json:"injections"`
+		TablesIdentical bool                 `json:"tables_identical"`
 	}
 	rows := map[string]row{}
 	for _, p := range kfi.Platforms {
@@ -1266,31 +1269,12 @@ func BenchmarkStaticSense(b *testing.B) {
 			}
 			seed := int64(2904) + int64(p)
 
-			// End-to-end code campaigns: annotated-but-unpruned versus
-			// pruned. Table equality is the correctness half of the claim.
+			// End-to-end sense-annotated code campaign.
 			t0 := time.Now()
-			full, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{Sense: true})
-			if err != nil {
+			if _, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{Sense: true}); err != nil {
 				b.Fatal(err)
 			}
 			campFull := time.Since(t0)
-			t0 = time.Now()
-			pruned, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{Prune: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			campPruned := time.Since(t0)
-			fullTable, prunedTable := full.Counts.TableRow("code"), pruned.Counts.TableRow("code")
-			if fullTable != prunedTable {
-				b.Fatalf("outcome tables diverge between full and pruned campaigns:\n  full:   %s\n  pruned: %s",
-					fullTable, prunedTable)
-			}
-			skipped := 0
-			for _, r := range pruned.Results {
-				if r.PredSkipped {
-					skipped++
-				}
-			}
 
 			// Incremental campaign: a cold section-cached run fills the
 			// per-section cache, a warm re-run replays every row from it.
@@ -1313,43 +1297,31 @@ func BenchmarkStaticSense(b *testing.B) {
 				b.Fatalf("outcome tables diverge between cold and warm cached campaigns:\n  cold: %s\n  warm: %s", ct, wt)
 			}
 
-			campSpeedup := float64(campFull) / float64(campPruned)
 			cacheSpeedup := float64(cacheCold) / float64(cacheWarm)
 			b.ReportMetric(float64(analysisPer.Nanoseconds()), "analysis-ns")
 			b.ReportMetric(100*rep.InertFrac(), "inert-%")
-			b.ReportMetric(campSpeedup, "campaign-speedup")
 			b.ReportMetric(cacheSpeedup, "cache-speedup")
 			b.Logf("\n%v static sense (%d sites over %d target classes, %d injections):\n"+
 				"  analysis:  %v for the whole target, %.1f%% of flips proven inert\n"+
-				"  campaign:  full %v, pruned %v (%d skipped), speedup %.2fx\n"+
+				"  campaign:  sense-annotated %v\n"+
 				"  cache:     cold %v, warm %v, speedup %.2fx\n%s",
 				p, rep.Sites, len(rep.Targets), n, analysisPer, 100*rep.InertFrac(),
-				campFull, campPruned, skipped, campSpeedup,
-				cacheCold, cacheWarm, cacheSpeedup, prunedTable)
+				campFull, cacheCold, cacheWarm, cacheSpeedup, cold.Counts.TableRow("code"))
 			rows[p.Short()] = row{
-				AnalysisNS:       analysisPer.Nanoseconds(),
-				Sites:            rep.Sites,
-				InertPct:         100 * rep.InertFrac(),
-				Targets:          targets,
-				CampaignFullNS:   campFull.Nanoseconds(),
-				CampaignPrunedNS: campPruned.Nanoseconds(),
-				CampaignSpeedup:  campSpeedup,
-				CacheColdNS:      cacheCold.Nanoseconds(),
-				CacheWarmNS:      cacheWarm.Nanoseconds(),
-				CacheSpeedup:     cacheSpeedup,
-				Injections:       n,
-				Skipped:          skipped,
-				TablesIdentical:  true,
+				AnalysisNS:      analysisPer.Nanoseconds(),
+				Sites:           rep.Sites,
+				InertPct:        100 * rep.InertFrac(),
+				Targets:         targets,
+				CampaignFullNS:  campFull.Nanoseconds(),
+				CacheColdNS:     cacheCold.Nanoseconds(),
+				CacheWarmNS:     cacheWarm.Nanoseconds(),
+				CacheSpeedup:    cacheSpeedup,
+				Injections:      n,
+				TablesIdentical: true,
 			}
 		})
 	}
-	if len(rows) == len(kfi.Platforms) {
-		if buf, err := json.MarshalIndent(rows, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_sense.json", append(buf, '\n'), 0o644); err != nil {
-				b.Logf("BENCH_sense.json: %v", err)
-			}
-		}
-	}
+	writeBench(b, "BENCH_sense.json", rows)
 }
 
 // --- Software-implemented fault detection (hardening) ---------------------
@@ -1433,11 +1405,5 @@ func BenchmarkHarden(b *testing.B) {
 			}
 		})
 	}
-	if len(rows) == len(kfi.Platforms) {
-		if buf, err := json.MarshalIndent(rows, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_harden.json", append(buf, '\n'), 0o644); err != nil {
-				b.Logf("BENCH_harden.json: %v", err)
-			}
-		}
-	}
+	writeBench(b, "BENCH_harden.json", rows)
 }

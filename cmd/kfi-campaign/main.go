@@ -57,8 +57,6 @@ func run(args []string) error {
 		engineFlag   = fs.String("engine", "", "execution engine: interp, predecode, or translate (default: the platform default)")
 		verbose      = fs.Bool("v", false, "print execution-engine counters after each platform")
 		sense        = fs.Bool("sense", false, "run the static error-sensitivity pre-pass and print the predicted-vs-observed confusion matrix")
-		prune        = fs.Bool("prune", false, "implies -sense; skip injections predicted inert, synthesizing their outcomes from the golden run")
-		snapshotDir  = fs.String("snapshot-dir", "", "persist/reuse golden-prefix snapshots in this directory")
 		secCache     = fs.String("section-cache", "", "per-section outcome cache directory: re-runs replay unchanged sections' results and re-inject only changed ones")
 		journalDir   = fs.String("journal", "", "durably journal completed outcomes to this directory (one file per platform+campaign)")
 		resume       = fs.Bool("resume", false, "resume from the journals in -journal, skipping already-completed injections")
@@ -189,9 +187,7 @@ func run(args []string) error {
 	cfg.Burst = uint8(*burst)
 	cfg.Exec = kfi.ExecOptions{
 		Engine:       engine,
-		SnapshotDir:  *snapshotDir,
-		Sense:        *sense || *prune,
-		Prune:        *prune,
+		Sense:        *sense,
 		SectionCache: *secCache,
 		MaxAttempts:  *retries,
 	}

@@ -2,7 +2,7 @@
 // (internal/staticsense) over a built kernel image and reports, without
 // executing a single injection, how each injection space — code, data,
 // stack, and system registers — splits across the classification lattice,
-// including the fraction a pruned campaign may skip as predicted inert.
+// including the fraction predicted inert.
 //
 //	kfi-sense -platform both
 //	kfi-sense -platform g4 -target data

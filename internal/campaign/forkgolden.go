@@ -3,9 +3,6 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -32,11 +29,6 @@ type ExecOptions struct {
 	// choice only changes wall-clock time.
 	Engine platform.EngineKind
 
-	// SnapshotDir, when set, persists golden-prefix waypoint snapshots there
-	// and reuses any compatible ones from earlier invocations (files are
-	// keyed by a fingerprint of the platform, configuration, and boot image).
-	SnapshotDir string
-
 	// Journal, when set, durably records every completed outcome (one
 	// append-only record per injection) as the campaign runs, so a killed
 	// process can resume instead of restarting from zero.
@@ -53,11 +45,6 @@ type ExecOptions struct {
 	// the predicted-vs-observed confusion matrix without changing which
 	// injections execute.
 	Sense bool
-	// Prune implies Sense and additionally skips injections the analyzer
-	// predicts inert: their results are synthesized from the traced golden
-	// run (outcome not-manifested, golden checksum and cycle count) and
-	// journaled with PredSkipped set.
-	Prune bool
 
 	// SectionCache, when set, is the directory of the per-section outcome
 	// cache (FastFlip-style incremental campaigns). Targets are grouped into
@@ -186,7 +173,6 @@ func ReplayFromBoot(sys *kernel.System, golden uint32, targets []inject.Target) 
 // than reusing any part of it.
 type nodeState struct {
 	sys  *kernel.System
-	way  *waypointStore
 	snap *snapshot.Snapshot
 	// goldenEnd, once set, is the golden run's completion as observed from a
 	// trigger beyond its end; every later trigger is also beyond the end.
@@ -214,15 +200,14 @@ type nodeState struct {
 // leases arrive the same way), the checkpoint only ever advances forward and
 // the invariant above holds across chunk boundaries. A chunk requeued by
 // node failover can carry triggers below the chain position; the runner then
-// restarts its chain from boot (or the best persisted waypoint), which
-// reproduces the same deterministic pause states.
+// restarts its chain from boot, which reproduces the same deterministic
+// pause states.
 //
 // Every injection is executed under the supervision policy (panic isolation,
 // wall-clock watchdog, retry with backoff, quarantine) — see supervise.go.
 type chunkRunner struct {
 	st     *nodeState
 	golden uint32
-	opts   ExecOptions
 	sup    supervision
 	// plan is the plan the snapshot chain serves (see executor.run).
 	plan *Plan
@@ -244,7 +229,6 @@ func newChunkRunner(sys *kernel.System, golden uint32, opts ExecOptions) *chunkR
 	return &chunkRunner{
 		st:     &nodeState{sys: sys},
 		golden: golden,
-		opts:   opts,
 		sup:    opts.supervision(),
 		injectFrom: func(_ int, sys *kernel.System, t inject.Target, golden uint32) inject.Result {
 			return inject.RunFrom(sys, t, golden)
@@ -357,23 +341,11 @@ func (r *chunkRunner) replaceNode() error {
 func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inject.Result, error) {
 	m := st.sys.Machine
 	if st.snap == nil || o.trig < st.snap.Cycles {
-		// First use, or a requeued/retried trigger behind the chain: start
-		// (or restart) the chain from the best persisted waypoint at or
-		// before the trigger, else from boot. The restarted chain passes
-		// through the same deterministic pause states, so outcomes are
-		// unchanged.
-		if r.opts.SnapshotDir != "" && st.way == nil {
-			st.way = newWaypointStore(r.opts.SnapshotDir, snapshot.GoldenKey(m), r.plan.maxTrig())
-		}
-		var snap *snapshot.Snapshot
-		if st.way != nil {
-			snap = st.way.bestBefore(o.trig, m)
-		}
-		if snap == nil {
-			m.Reboot()
-			snap = snapshot.Capture(m)
-		}
-		st.snap = snap
+		// First use, or a requeued/retried trigger behind the chain: restart
+		// the chain from boot. The restarted chain passes through the same
+		// deterministic pause states, so outcomes are unchanged.
+		m.Reboot()
+		st.snap = snapshot.Capture(m)
 	}
 	snap := st.snap
 	if _, err := snap.Restore(m); err != nil {
@@ -392,84 +364,6 @@ func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inje
 		if _, err := snap.Recapture(m); err != nil {
 			return inject.Result{}, err
 		}
-		if st.way != nil {
-			st.way.maybeSave(snap)
-		}
 	}
 	return r.injectFrom(o.idx, st.sys, t, r.golden), nil
-}
-
-// waypointStore persists golden-prefix checkpoints under a directory, keyed
-// by the machine's golden fingerprint, for reuse across invocations.
-type waypointStore struct {
-	dir       string
-	key       string
-	stride    uint64
-	lastSaved uint64
-}
-
-func newWaypointStore(dir, key string, maxTrig uint64) *waypointStore {
-	stride := maxTrig / 6
-	if stride < 250_000 {
-		stride = 250_000
-	}
-	return &waypointStore{dir: dir, key: key, stride: stride}
-}
-
-func (w *waypointStore) path(cycles uint64) string {
-	// Zero-padded so lexical directory order is cycle order.
-	return filepath.Join(w.dir, fmt.Sprintf("%s-c%020d.ksnap", w.key, cycles))
-}
-
-// bestBefore loads the latest stored waypoint at or before trig and installs
-// it on the machine (full-image restore; it becomes the armed baseline).
-// Corrupt or mismatched files are skipped. Returns nil when none usable.
-func (w *waypointStore) bestBefore(trig uint64, m *machine.Machine) *snapshot.Snapshot {
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return nil
-	}
-	var best uint64
-	found := false
-	prefix := w.key + "-c"
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".ksnap") {
-			continue
-		}
-		var c uint64
-		if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".ksnap"), "%d", &c); err != nil {
-			continue
-		}
-		if c <= trig && (!found || c > best) {
-			best, found = c, true
-		}
-	}
-	if !found {
-		return nil
-	}
-	snap, err := snapshot.Load(w.path(best))
-	if err != nil || snap.Cycles != best {
-		return nil
-	}
-	if _, err := snap.Restore(m); err != nil {
-		return nil
-	}
-	w.lastSaved = best
-	return snap
-}
-
-// maybeSave persists the checkpoint when it advanced at least a stride past
-// the last saved waypoint. Failures are ignored: persistence is an
-// optimization, never a correctness dependency.
-func (w *waypointStore) maybeSave(s *snapshot.Snapshot) {
-	if s.Cycles < w.lastSaved+w.stride {
-		return
-	}
-	if err := os.MkdirAll(w.dir, 0o755); err != nil {
-		return
-	}
-	if err := s.Save(w.path(s.Cycles)); err == nil {
-		w.lastSaved = s.Cycles
-	}
 }

@@ -72,36 +72,6 @@ func TestForkFromGoldenProgress(t *testing.T) {
 	}
 }
 
-// TestSnapshotDirReuse runs the same campaign twice with a waypoint
-// directory: the second invocation must load the persisted prefix snapshots
-// and still produce identical results.
-func TestSnapshotDirReuse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaigns are slow")
-	}
-	sys, golden, prof := getSystem(t, isa.RISC)
-	dir := t.TempDir()
-	spec := Spec{Campaign: inject.CampSysReg, N: 8, Seed: 13}
-	first, err := RunWith(sys, golden, prof, spec, nil, ExecOptions{SnapshotDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.ksnap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no waypoint snapshots were persisted")
-	}
-	second, err := RunWith(sys, golden, prof, spec, nil, ExecOptions{SnapshotDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Results, second.Results) {
-		t.Error("results differ between fresh and waypoint-reusing invocations")
-	}
-}
-
 // TestFarmForkFromGoldenMatchesReplay pins the farm path: chunked
 // fork-from-golden across nodes equals replay from boot.
 func TestFarmForkFromGoldenMatchesReplay(t *testing.T) {

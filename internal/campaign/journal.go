@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -56,7 +57,9 @@ var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 // Header identifies the campaign a journal belongs to. Every field must
 // match on resume: a journal written for a different spec, seed, platform,
 // or golden checksum describes different experiments and must not be
-// spliced into this run.
+// spliced into this run. A field this build does not know (a marker for a
+// mode an earlier or later build has) is a mismatch too, since the
+// journal's rows may depend on it.
 type Header struct {
 	Magic    string          `json:"magic"`
 	Platform isa.Platform    `json:"platform"`
@@ -65,10 +68,6 @@ type Header struct {
 	Seed     int64           `json:"seed"`
 	Burst    uint8           `json:"burst"`
 	Golden   uint32          `json:"golden"`
-	// Prune records whether the campaign ran with predicted-inert pruning:
-	// a pruned journal holds synthesized results for skipped injections, so
-	// it must not be spliced into a run with a different pruning mode.
-	Prune bool `json:"prune,omitempty"`
 	// Harden names the hardening passes the guest kernel was built with
 	// (kir.HardenOpts.String(), e.g. "dup+cfsig"); empty for unhardened
 	// campaigns, so pre-hardening journals remain byte-identical. The golden
@@ -140,7 +139,8 @@ func CreateJournal(path string, h Header) (*Journal, error) {
 // h, and returns the already-completed outcomes of its longest valid record
 // prefix, truncating any damaged tail so subsequent appends extend the valid
 // prefix. When the file does not exist it is created, so a first run and a
-// resumed run use the same flag.
+// resumed run use the same flag. A header carrying a field Header does not
+// define fails with ErrJournalHeader.
 func ResumeJournal(path string, h Header) (*Journal, map[int]inject.Result, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if errors.Is(err, os.ErrNotExist) {
@@ -150,7 +150,7 @@ func ResumeJournal(path string, h Header) (*Journal, map[int]inject.Result, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	got, completed, validEnd, err := scanJournal(f)
+	got, completed, validEnd, err := scanJournal(f, true)
 	if err != nil {
 		f.Close()
 		// An unreadable or headerless journal is not silently overwritten:
@@ -181,15 +181,17 @@ func ReadJournal(path string) (Header, map[int]inject.Result, error) {
 		return Header{}, nil, err
 	}
 	defer f.Close()
-	h, completed, _, err := scanJournal(f)
+	h, completed, _, err := scanJournal(f, false)
 	return h, completed, err
 }
 
 // scanJournal reads the header and the longest valid record prefix,
 // returning the file offset just past the last intact frame. Damage — a
 // truncated tail, a length field pointing past EOF, or a CRC mismatch — ends
-// the scan without error; only a missing or malformed header frame fails.
-func scanJournal(f *os.File) (Header, map[int]inject.Result, int64, error) {
+// the scan without error; only a missing or malformed header frame fails,
+// and with strict set, a header field Header does not define
+// (ErrJournalHeader).
+func scanJournal(f *os.File, strict bool) (Header, map[int]inject.Result, int64, error) {
 	r := &frameReader{r: f}
 	hp, ok := r.next()
 	if !ok {
@@ -198,6 +200,13 @@ func scanJournal(f *os.File) (Header, map[int]inject.Result, int64, error) {
 	var h Header
 	if err := json.Unmarshal(hp, &h); err != nil || h.Magic != journalMagic {
 		return Header{}, nil, 0, errors.New("not a campaign journal")
+	}
+	if strict {
+		dec := json.NewDecoder(bytes.NewReader(hp))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(new(Header)); err != nil {
+			return Header{}, nil, 0, fmt.Errorf("%w: %v", ErrJournalHeader, err)
+		}
 	}
 	completed := make(map[int]inject.Result)
 	validEnd := r.off

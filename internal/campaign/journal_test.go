@@ -105,6 +105,48 @@ func TestJournalHeaderMismatch(t *testing.T) {
 	}
 }
 
+// TestJournalResumeRejectsUnknownHeaderFields: a journal whose header
+// carries a field this build does not define — a mode marker from another
+// build, such as the pruning marker of earlier builds whose journals hold
+// synthesized rows — must not be spliced into a run. ReadJournal still
+// reads such files.
+func TestJournalResumeRejectsUnknownHeaderFields(t *testing.T) {
+	for name, extra := range map[string]string{"prune": `"prune":true`, "future": `"future":1`} {
+		t.Run(name, func(t *testing.T) {
+			h := testHeader()
+			hp, err := json.Marshal(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hp = append(hp[:len(hp)-1], ","+extra+"}"...)
+			buf := frame(hp)
+			rec, err := EncodeRecord(0, sampleJournalResult(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = append(buf, frame(rec)...)
+			path := filepath.Join(t.TempDir(), "c.kjournal")
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, _, err := ResumeJournal(path, h); !errors.Is(err, ErrJournalHeader) {
+				t.Fatalf("resume of a header with %s: err = %v, want ErrJournalHeader", extra, err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, buf) {
+				t.Fatalf("rejected resume modified the journal (err %v)", err)
+			}
+			got, completed, err := ReadJournal(path)
+			if err != nil {
+				t.Fatalf("ReadJournal: %v", err)
+			}
+			if got != h || len(completed) != 1 || completed[0] != sampleJournalResult(0) {
+				t.Errorf("ReadJournal = %+v with %d records, want %+v with 1", got, len(completed), h)
+			}
+		})
+	}
+}
+
 // TestJournalCorruption drives the recovery contract: any damage — a torn
 // tail from a crash mid-append, a bit flip anywhere, a corrupted length
 // field, even an intact frame with senseless contents — costs only the

@@ -22,8 +22,7 @@ type Plan struct {
 	// (the order a snapshot chain wants them in).
 	Order []int
 	// Pre maps target indices to the rows synthesized without execution:
-	// code targets whose instruction the golden run never reaches, and
-	// pruned predicted-inert targets.
+	// code targets whose instruction the golden run never reaches.
 	Pre map[int]inject.Result
 
 	// order backs Order with the trigger cycles, so executing a subset
@@ -61,11 +60,10 @@ func Targets(sys *kernel.System, profile *Profile, spec Spec) ([]inject.Target, 
 
 // NewPlan builds the plan for spec on sys. targets, when non-nil, replaces
 // target generation (the harden study runs matched lists). The steps, in
-// order: generate targets, run the static sense pass (opts.Sense/Prune),
-// sort targets by trigger cycle — tracing the golden run when code targets,
-// pruning or the section cache need it — synthesize unreached and pruned
-// rows, load section-cache hits (opts.SectionCache), and skip the rows
-// opts.Completed already holds.
+// order: generate targets, run the static sense pass (opts.Sense), sort
+// targets by trigger cycle — tracing the golden run when code targets or
+// the section cache need it — synthesize unreached rows, load section-cache
+// hits (opts.SectionCache), and skip the rows opts.Completed already holds.
 func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 	targets []inject.Target, opts ExecOptions) (*Plan, error) {
 	if targets == nil {
@@ -79,10 +77,9 @@ func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 		return nil, err
 	}
 	p := &Plan{Targets: targets, Pre: map[int]inject.Result{}, sense: sense}
-	if err := p.sortByTrigger(sys, opts.Prune || opts.SectionCache != ""); err != nil {
+	if err := p.sortByTrigger(sys, opts.SectionCache != ""); err != nil {
 		return nil, err
 	}
-	prunePre(p, sense, opts)
 	if p.secs, err = openSectionCache(sys, golden, spec, targets, p.golden, opts); err != nil {
 		return nil, err
 	}
@@ -146,15 +143,6 @@ func (p *Plan) sortByTrigger(sys *kernel.System, trace bool) error {
 	}
 	sort.SliceStable(p.order, func(a, b int) bool { return p.order[a].trig < p.order[b].trig })
 	return nil
-}
-
-// maxTrig returns the plan's last (largest) trigger; it sizes the waypoint
-// stride.
-func (p *Plan) maxTrig() uint64 {
-	if len(p.order) == 0 {
-		return 0
-	}
-	return p.order[len(p.order)-1].trig
 }
 
 // execute completes the plan's rows that want selects (nil selects all) on

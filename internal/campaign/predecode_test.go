@@ -24,23 +24,23 @@ func TestEngineCampaignEquivalence(t *testing.T) {
 		for _, camp := range []inject.Campaign{inject.CampCode, inject.CampStack, inject.CampData} {
 			t.Run(plat.Short()+"/"+camp.String(), func(t *testing.T) {
 				spec := Spec{Campaign: camp, N: 10, Seed: 77}
-				if err := sys.Machine.SetEngine(0); err != nil {
-					t.Fatal(err)
-				}
 				ref, err := RunWith(sys, golden, prof, spec, nil, ExecOptions{})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if def := platform.DefaultEngine(desc); ref.Engine != def {
+					t.Fatalf("default campaign ran on %v, want %v", ref.Engine, def)
 				}
 				for _, kind := range desc.Engines() {
 					if kind == platform.DefaultEngine(desc) {
 						continue
 					}
-					if err := sys.Machine.SetEngine(kind); err != nil {
-						t.Fatal(err)
-					}
-					got, err := RunWith(sys, golden, prof, spec, nil, ExecOptions{})
+					got, err := RunWith(sys, golden, prof, spec, nil, ExecOptions{Engine: kind})
 					if err != nil {
 						t.Fatal(err)
+					}
+					if got.Engine != kind {
+						t.Fatalf("campaign ran on %v, want %v", got.Engine, kind)
 					}
 					for i := range ref.Results {
 						if !reflect.DeepEqual(ref.Results[i], got.Results[i]) {
@@ -48,9 +48,6 @@ func TestEngineCampaignEquivalence(t *testing.T) {
 								kind, i, ref.Results[i], kind, got.Results[i])
 						}
 					}
-				}
-				if err := sys.Machine.SetEngine(0); err != nil {
-					t.Fatal(err)
 				}
 			})
 		}

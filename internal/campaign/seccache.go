@@ -24,8 +24,7 @@ import (
 // everything those rows are a function of:
 //
 //   - the campaign identity (platform, campaign, N, seed, burst, golden
-//     checksum) and the sense/prune options, because both change the rows'
-//     bytes;
+//     checksum) and the sense option, because it changes the rows' bytes;
 //   - the traced golden run (cycle count, checksum, and the full first-hit
 //     trace), standing in for whole-image behavior;
 //   - the section's own compiled bytes (a code section's byte range, or the
@@ -125,7 +124,9 @@ func newSectionHasher(sys *kernel.System, golden uint32, spec Spec,
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nplatform %v\ncampaign %d n %d seed %d burst %d golden %08x\n",
 		seccacheMagic, sys.Platform, spec.Campaign, spec.N, spec.Seed, spec.Burst, golden)
-	fmt.Fprintf(h, "sense %v prune %v\n", opts.Sense, opts.Prune)
+	// "prune false" keeps the keys of caches filled by earlier builds,
+	// which had a pruning option, valid.
+	fmt.Fprintf(h, "sense %v prune false\n", opts.Sense)
 	fmt.Fprintf(h, "trace cycles %d checksum %08x hits %s\n",
 		tr.cycles, tr.checksum, traceFingerprint(tr))
 	return &sectionHasher{prefix: h.Sum(nil)}

@@ -52,8 +52,6 @@ func (e *stepEngine) Kind() platform.EngineKind { return e.kind }
 
 func (e *stepEngine) RunUntil(limit uint64) isa.Event { return e.cpu.RunUntil(limit) }
 
-func (e *stepEngine) Flush() { e.cpu.FlushPredecode() }
-
 func (e *stepEngine) Stats() platform.EngineStats { return platform.EngineStats{} }
 
 func (e *stepEngine) ResetStats() {}

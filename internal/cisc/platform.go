@@ -29,8 +29,6 @@ func (descriptor) NewCore(m *mem.Memory) platform.Core {
 	return &coreAdapter{cpu: NewCPU(m), mem: m}
 }
 
-func (descriptor) NewCPUState() platform.CPUState { return &State{} }
-
 // BusWindow: the P4 has no unclaimed processor-local bus window — every wild
 // kernel pointer page-faults (paper §5.2).
 func (descriptor) BusWindow() (uint32, uint32, bool) { return 0, 0, false }
@@ -259,61 +257,4 @@ func (c *coreAdapter) SetTrace(fn func(pc uint32, cost uint8)) { c.cpu.Trace = f
 
 func (c *coreAdapter) PendingDataBreak() (int, isa.DataAccess, uint32, bool) {
 	return c.cpu.PendingDataBreak()
-}
-
-// EncodeSnapshot serializes the CPU block in the snapshot wire format. The
-// field order is frozen: it is the on-disk format PR 1 shipped.
-func (s *State) EncodeSnapshot(w *platform.SnapWriter) {
-	for _, r := range s.Regs {
-		w.U32(r)
-	}
-	w.U32(s.EIP)
-	w.U32(s.Flags)
-	w.U32(s.CR0)
-	w.U32(s.CR2)
-	w.U32(s.CR3)
-	w.U32(s.FS)
-	w.U32(s.GS)
-	w.U32(s.TR)
-	w.U32(s.GDTR)
-	w.U32(s.IDTR)
-	w.U32(s.LDTR)
-	for _, r := range s.DR {
-		w.U32(r)
-	}
-	w.U32(s.DR6)
-	w.U32(s.DR7)
-	w.U32(s.SysenterEIP)
-	w.U32(s.SysenterESP)
-	w.U32(uint32(s.Mode))
-	w.U32(s.FSBase)
-	w.CPUTail(s.Debug, s.Clock, s.PendingSlot, s.PendingAccess, s.PendingAddr)
-}
-
-// DecodeSnapshot fills the state from the snapshot wire format.
-func (s *State) DecodeSnapshot(r *platform.SnapReader) {
-	for i := range s.Regs {
-		s.Regs[i] = r.U32()
-	}
-	s.EIP = r.U32()
-	s.Flags = r.U32()
-	s.CR0 = r.U32()
-	s.CR2 = r.U32()
-	s.CR3 = r.U32()
-	s.FS = r.U32()
-	s.GS = r.U32()
-	s.TR = r.U32()
-	s.GDTR = r.U32()
-	s.IDTR = r.U32()
-	s.LDTR = r.U32()
-	for i := range s.DR {
-		s.DR[i] = r.U32()
-	}
-	s.DR6 = r.U32()
-	s.DR7 = r.U32()
-	s.SysenterEIP = r.U32()
-	s.SysenterESP = r.U32()
-	s.Mode = isa.Mode(r.U32())
-	s.FSBase = r.U32()
-	r.CPUTail(&s.Debug, &s.Clock, &s.PendingSlot, &s.PendingAccess, &s.PendingAddr)
 }

@@ -103,9 +103,9 @@ type Config struct {
 	// Burst widens the error model: 0 or 1 is the paper's single-bit flip,
 	// k > 1 flips k adjacent bits per injection.
 	Burst uint8
-	// Exec holds the campaign execution options: engine, snapshot
-	// waypoints, sense/prune, section cache, and the per-injection
-	// supervision policy (zero value: defaults throughout).
+	// Exec holds the campaign execution options: engine, sense, section
+	// cache, and the per-injection supervision policy (zero value: defaults
+	// throughout).
 	Exec campaign.ExecOptions
 	// JournalDir, when set, durably journals every completed outcome to one
 	// append-only file per (platform, campaign) under this directory, so an
@@ -242,7 +242,6 @@ func openJournal(cfg Config, p isa.Platform, golden uint32, spec campaign.Spec) 
 	}
 	path := JournalPath(cfg.JournalDir, p, spec.Campaign)
 	h := campaign.HeaderFor(p, golden, spec)
-	h.Prune = cfg.Exec.Prune
 	h.Cached = cfg.Exec.SectionCache != ""
 	if cfg.Exec.Engine != 0 {
 		h.Engine = cfg.Exec.Engine.String()

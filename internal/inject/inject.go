@@ -184,9 +184,11 @@ type Result struct {
 	// journals and logs are unchanged.
 	PredClass string `json:"PredClass,omitempty"`
 	PredInert bool   `json:"PredInert,omitempty"`
-	// PredSkipped marks results a pruned campaign synthesized from the
-	// golden run instead of executing, on the strength of an inert
-	// prediction.
+	// PredSkipped marks results that journals and -out logs from earlier
+	// builds synthesized from the golden run instead of executing, on the
+	// strength of an inert prediction. No campaign sets it now; it is kept
+	// so those files still decode, and stats.Confuse keeps such rows out
+	// of its soundness count.
 	PredSkipped bool `json:"PredSkipped,omitempty"`
 	// PredCached marks results an incremental campaign may satisfy from the
 	// per-section outcome cache (campaign.ExecOptions.SectionCache). It is

@@ -44,9 +44,12 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				mA.Mem.ClearBaseline()
 
 				// Restore leg: fresh system, install the checkpoint, apply
-				// the identical corruption, resume.
+				// the identical corruption, resume. A snapshot restores only
+				// onto the machine it is armed on, so arm its image on the
+				// fresh machine first (every page starts dirty: a full copy).
 				sysB := buildStandard(t, platform)
 				mB := sysB.Machine
+				mB.Mem.SetBaseline(snap.Image, false)
 				if _, err := snap.Restore(mB); err != nil {
 					t.Fatal(err)
 				}

@@ -7,10 +7,9 @@
 //     classifier or table builder;
 //   - exhaustive class switches: the same rule for the staticsense.Class
 //     lattice constants in every package outside internal/staticsense —
-//     consumers like the campaign prune-eligibility dispatch must confront
-//     each new class explicitly, because a class silently falling through
-//     to "not prunable" hides coverage while one falling through to
-//     "prunable" is a soundness bug;
+//     a consumer that dispatches on the class must confront each new class
+//     explicitly, because a class silently falling through to "inert" is a
+//     soundness bug;
 //   - deterministic replay paths: packages on the guest-deterministic path
 //     (everything a campaign result depends on) must not call time.Now or
 //     use math/rand's implicit global source — wall-clock reads and shared

@@ -74,9 +74,12 @@ func TestRestoreEquivalence(t *testing.T) {
 				t.Fatalf("uninterrupted reference diverged from clean run: %+v", resU)
 			}
 
-			// Candidate: restore the snapshot into a brand-new machine.
+			// Candidate: restore the snapshot into a brand-new machine. A
+			// snapshot restores only onto the machine it is armed on, so arm
+			// its image first (every page starts dirty: a full copy).
 			sysB := buildSystem(t, p, kernel.Options{})
 			mB := sysB.Machine
+			mB.Mem.SetBaseline(snap.Image, false)
 			if _, err := snap.Restore(mB); err != nil {
 				t.Fatal(err)
 			}

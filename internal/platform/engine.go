@@ -120,11 +120,6 @@ type ExecEngine interface {
 	// was reached. Because every instruction costs at least one cycle,
 	// RunUntil(clock+1) executes exactly one instruction.
 	RunUntil(limit uint64) isa.Event
-	// Flush drops all cached decoded/translated state. Stale entries are
-	// already invalidated by memory generation counters; flushing bounds
-	// memory and establishes cold-cache conditions (e.g. after a snapshot
-	// restore, so engine state never leaks into checkpoints).
-	Flush()
 	// Stats returns the engine's counters since construction or the last
 	// ResetStats.
 	Stats() EngineStats

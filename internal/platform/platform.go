@@ -66,14 +66,10 @@ type Delivery struct {
 // reports completion when the program counter reaches it.
 const CallSentinel = 0xDEAD0000
 
-// CPUState is an opaque, platform-owned CPU checkpoint. The snapshot layer
-// moves it between memory and the on-disk codec without knowing its shape.
-type CPUState interface {
-	// EncodeSnapshot appends the state to the snapshot byte stream.
-	EncodeSnapshot(w *SnapWriter)
-	// DecodeSnapshot fills the state from the snapshot byte stream.
-	DecodeSnapshot(r *SnapReader)
-}
+// CPUState is an opaque, platform-owned CPU checkpoint: the snapshot layer
+// holds it without knowing its shape, and only the Core that saved it can
+// restore it.
+type CPUState any
 
 // Core is the platform-generic view of a processor used by the machine
 // layer. Adapters are thin; everything architectural stays in the ISA
@@ -177,8 +173,6 @@ type Descriptor interface {
 	// NewCore builds the platform's CPU (decoder, predecode cache, debug
 	// unit) bound to the given memory.
 	NewCore(m *mem.Memory) Core
-	// NewCPUState returns an empty CPU state for the snapshot decoder.
-	NewCPUState() CPUState
 
 	// Engines lists the execution engines the platform supports, in enum
 	// order. Every platform must support EngineInterp (the reference

@@ -77,8 +77,6 @@ func (toyDescriptor) NewCore(m *mem.Memory) platform.Core {
 	return c
 }
 
-func (toyDescriptor) NewCPUState() platform.CPUState { return &toyState{} }
-
 func (toyDescriptor) Engines() []platform.EngineKind {
 	return []platform.EngineKind{platform.EngineInterp}
 }
@@ -99,7 +97,6 @@ type toyEngine struct{ c *toyCore }
 
 func (e toyEngine) Kind() platform.EngineKind       { return platform.EngineInterp }
 func (e toyEngine) RunUntil(limit uint64) isa.Event { return e.c.RunUntil(limit) }
-func (e toyEngine) Flush()                          {}
 func (e toyEngine) Stats() platform.EngineStats     { return platform.EngineStats{} }
 func (e toyEngine) ResetStats()                     {}
 
@@ -356,8 +353,7 @@ func (c *toyCore) PendingDataBreak() (int, isa.DataAccess, uint32, bool) {
 	return slot, access, addr, true
 }
 
-// toyState is the toy CPU checkpoint, wire-codable through the shared
-// snapshot cursors like the built-in platforms' states.
+// toyState is the toy CPU checkpoint.
 type toyState struct {
 	R   [8]uint32
 	PC  uint32
@@ -368,22 +364,4 @@ type toyState struct {
 	PendingSlot   int
 	PendingAccess isa.DataAccess
 	PendingAddr   uint32
-}
-
-func (s *toyState) EncodeSnapshot(w *platform.SnapWriter) {
-	for _, r := range s.R {
-		w.U32(r)
-	}
-	w.U32(s.PC)
-	w.U32(s.CTL)
-	w.CPUTail(s.Debug, s.Clock, s.PendingSlot, s.PendingAccess, s.PendingAddr)
-}
-
-func (s *toyState) DecodeSnapshot(r *platform.SnapReader) {
-	for i := range s.R {
-		s.R[i] = r.U32()
-	}
-	s.PC = r.U32()
-	s.CTL = r.U32()
-	r.CPUTail(&s.Debug, &s.Clock, &s.PendingSlot, &s.PendingAccess, &s.PendingAddr)
 }

@@ -50,8 +50,6 @@ func (descriptor) NewCore(m *mem.Memory) platform.Core {
 	return &coreAdapter{cpu: NewCPU(m), mem: m}
 }
 
-func (descriptor) NewCPUState() platform.CPUState { return &State{} }
-
 // BusWindow: the G4's processor-local bus hangs (machine check) only in this
 // unclaimed window; other wild kernel pointers fault as "kernel access of a
 // bad area" (paper §5.2).
@@ -316,47 +314,4 @@ func (c *coreAdapter) SetTrace(fn func(pc uint32, cost uint8)) { c.cpu.Trace = f
 
 func (c *coreAdapter) PendingDataBreak() (int, isa.DataAccess, uint32, bool) {
 	return c.cpu.PendingDataBreak()
-}
-
-// EncodeSnapshot serializes the CPU block in the snapshot wire format. The
-// field order is frozen: it is the on-disk format PR 1 shipped.
-func (s *State) EncodeSnapshot(w *platform.SnapWriter) {
-	for _, r := range s.R {
-		w.U32(r)
-	}
-	w.U32(s.PC)
-	w.U32(s.LR)
-	w.U32(s.CTR)
-	w.U32(s.XER)
-	w.U32(s.CR)
-	w.U32(s.MSR)
-	for _, r := range s.SPR {
-		w.U32(r)
-	}
-	w.U32(s.StackLo)
-	w.U32(s.StackHi)
-	w.Bool(s.BTICValid)
-	w.U32(s.BTICCounter)
-	w.CPUTail(s.Debug, s.Clock, s.PendingSlot, s.PendingAccess, s.PendingAddr)
-}
-
-// DecodeSnapshot fills the state from the snapshot wire format.
-func (s *State) DecodeSnapshot(r *platform.SnapReader) {
-	for i := range s.R {
-		s.R[i] = r.U32()
-	}
-	s.PC = r.U32()
-	s.LR = r.U32()
-	s.CTR = r.U32()
-	s.XER = r.U32()
-	s.CR = r.U32()
-	s.MSR = r.U32()
-	for i := range s.SPR {
-		s.SPR[i] = r.U32()
-	}
-	s.StackLo = r.U32()
-	s.StackHi = r.U32()
-	s.BTICValid = r.Bool()
-	s.BTICCounter = r.U32()
-	r.CPUTail(&s.Debug, &s.Clock, &s.PendingSlot, &s.PendingAccess, &s.PendingAddr)
 }

@@ -90,11 +90,6 @@ func newTranslator(cpu *CPU) *translator {
 
 func (t *translator) Kind() platform.EngineKind { return platform.EngineTranslate }
 
-func (t *translator) Flush() {
-	t.pages, t.last = nil, nil
-	t.cpu.FlushPredecode()
-}
-
 func (t *translator) Stats() platform.EngineStats { return t.stats }
 func (t *translator) ResetStats()                 { t.stats = platform.EngineStats{} }
 

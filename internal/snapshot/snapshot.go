@@ -14,14 +14,12 @@
 // chain incremental checkpoints across its trigger times and execute the
 // golden prefix exactly once in total.
 //
-// Snapshots also serialize to a versioned, checksummed on-disk format
-// (codec.go) so golden-prefix checkpoints can be reused across invocations
-// (the kfi-campaign -snapshot-dir flag).
+// A snapshot lives only in memory and restores only onto the machine it is
+// armed on as the restore baseline.
 package snapshot
 
 import (
-	"fmt"
-	"hash/fnv"
+	"errors"
 
 	"kfi/internal/machine"
 )
@@ -63,26 +61,20 @@ func (s *Snapshot) Armed(ma *machine.Machine) bool {
 	return len(b) > 0 && len(s.Image) > 0 && &b[0] == &s.Image[0]
 }
 
-// Restore rewinds the machine to the snapshot. When the snapshot is the
-// machine's armed baseline only dirty pages are copied; otherwise (a snapshot
-// loaded from disk, or one captured on another machine of the same
-// configuration) the full image is installed and the snapshot becomes the
-// armed baseline. It returns the number of pages copied.
+// errNotArmed reports a Restore or Recapture of a snapshot that is not the
+// machine's armed baseline.
+var errNotArmed = errors.New("snapshot: not the machine's armed baseline")
+
+// Restore rewinds the machine to the snapshot, copying back only the pages
+// dirtied since the last capture, restore or recapture. The snapshot must
+// be the machine's armed baseline; any other snapshot fails and leaves the
+// machine untouched. It returns the number of pages copied.
 func (s *Snapshot) Restore(ma *machine.Machine) (int, error) {
-	if want, got := uint32(len(s.Image)), ma.Mem.Size(); want != got {
-		return 0, fmt.Errorf("snapshot: image is %d bytes, machine has %d", want, got)
+	if !s.Armed(ma) {
+		return 0, errNotArmed
 	}
 	if err := ma.RestoreState(&s.State); err != nil {
 		return 0, err
-	}
-	if !s.Armed(ma) {
-		// Installing a foreign image rewrites all of RAM. Generation bumps
-		// from the full-copy RestoreBaseline below already invalidate stale
-		// predecoded/translated state; the explicit flush just releases the
-		// old image's cache pages at a natural boundary — and keeps engine
-		// state out of checkpoints entirely.
-		ma.Mem.SetBaseline(s.Image, false)
-		ma.Engine().Flush()
 	}
 	return ma.Mem.RestoreBaseline(), nil
 }
@@ -93,41 +85,10 @@ func (s *Snapshot) Restore(ma *machine.Machine) (int, error) {
 // machine's armed baseline. It returns the number of pages absorbed.
 func (s *Snapshot) Recapture(ma *machine.Machine) (int, error) {
 	if !s.Armed(ma) {
-		return 0, fmt.Errorf("snapshot: Recapture of a snapshot that is not the machine's baseline")
+		return 0, errNotArmed
 	}
 	n := ma.Mem.SyncBaseline()
 	s.Cycles = ma.Core().Clock().Cycles()
 	s.State = ma.SaveState()
 	return n, nil
-}
-
-// GoldenKey fingerprints the golden prefix a machine will execute: platform,
-// memory geometry, timer/watchdog configuration, and the sealed boot image.
-// Two machines with equal keys run identical golden prefixes, so waypoint
-// snapshots filed under the key are interchangeable between them.
-func GoldenKey(ma *machine.Machine) string {
-	cfg := ma.Config()
-	h := fnv.New64a()
-	var hdr [40]byte
-	put32 := func(off int, v uint32) {
-		hdr[off] = byte(v >> 24)
-		hdr[off+1] = byte(v >> 16)
-		hdr[off+2] = byte(v >> 8)
-		hdr[off+3] = byte(v)
-	}
-	put32(0, uint32(cfg.Platform))
-	put32(4, cfg.MemSize)
-	put32(8, uint32(cfg.TimerPeriod>>32))
-	put32(12, uint32(cfg.TimerPeriod))
-	put32(16, uint32(cfg.Watchdog>>32))
-	put32(20, uint32(cfg.Watchdog))
-	put32(24, cfg.BootEntry)
-	put32(28, cfg.BootSP)
-	put32(32, cfg.FSBase)
-	put32(36, cfg.SPRG2Value)
-	h.Write(hdr[:])
-	if p := ma.Mem.Pristine(); p != nil {
-		h.Write(p)
-	}
-	return fmt.Sprintf("%s-%016x", cfg.Platform.Short(), h.Sum64())
 }

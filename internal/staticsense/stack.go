@@ -46,8 +46,7 @@ func newStackModel(proc *kir.Struct, layout kir.Layout, acc *accessMap) *stackMo
 // within a kernel stack slot (0 = slot base, where the task_struct lives).
 // Offsets above the task_struct are live stack: always ClassUnknown. Within
 // the task_struct, never-accessed fields and padding are ClassUnreferenced
-// and write-only fields are ClassDeadStore — both inert, neither skippable,
-// since stack activation depends on the run's dynamic stack depth.
+// and write-only fields are ClassDeadStore — both inert.
 func (a *Analyzer) ClassifyStackByte(off uint32) Prediction {
 	m := a.stack
 	if m == nil {

@@ -60,19 +60,18 @@ const (
 	// ClassDeadStore flips land in a data or stack byte the whole-program
 	// access analysis proves is possibly written but never read (by compiled
 	// code, the glue paths, or the host runtime). Predicted inert — the
-	// flipped value is never consumed — but not skippable: neighboring
-	// bytes of the same word may be read, so activation is statically
-	// unknown.
+	// flipped value is never consumed — though neighboring bytes of the
+	// same word may be read, so activation is statically unknown.
 	ClassDeadStore
 	// ClassUnreferenced flips land in an aligned 4-byte word no kernel
 	// instruction, glue path, or host access ever touches (padding holes,
-	// never-referenced globals or fields). Predicted inert; a pruned data
-	// campaign may skip these as not-activated.
+	// never-referenced globals or fields). Predicted inert: a data flip
+	// here is never activated.
 	ClassUnreferenced
 	// ClassMaskedReg flips land on a system-register bit outside the
 	// platform's statically derived consulted mask: no implicit processor
 	// path and no decoded instruction in the image ever reads the bit.
-	// Predicted inert; a pruned sysreg campaign may skip these.
+	// Predicted inert.
 	ClassMaskedReg
 
 	numClasses
@@ -330,8 +329,7 @@ type Report struct {
 	Targets []*TargetReport `json:"targets,omitempty"`
 }
 
-// InertFrac is the fraction of the injection space predicted inert — the
-// pruning rate a -prune campaign achieves on uniformly drawn code targets.
+// InertFrac is the fraction of the injection space predicted inert.
 func (r *Report) InertFrac() float64 {
 	if r.Sites == 0 {
 		return 0

@@ -11,7 +11,8 @@ import (
 
 // ConfusionRow is one predicted-class row of the predicted-vs-observed
 // matrix, with observed outcomes grouped the way the soundness argument
-// cares about them: skipped (synthesized, never executed), not activated,
+// cares about them: skipped (synthesized by earlier builds' pruning, never
+// executed), not activated,
 // not manifested, manifested (fail silence + crash + hang), quarantined.
 type ConfusionRow struct {
 	Class         string `json:"class"`

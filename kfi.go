@@ -143,11 +143,9 @@ func RunCampaign(sys *System, camp Campaign, n int, seed int64, progress func(do
 // fork-from-golden (checkpoint the golden prefix once, restore-inject-resume
 // per experiment), with outcomes identical to the paper's literal
 // reboot-and-replay procedure. Engine selects the execution engine (see
-// EngineKind); SnapshotDir persists golden-prefix waypoint snapshots for
-// reuse across invocations; Journal/Completed make a campaign resumable;
-// Sense, Prune and SectionCache enable the static pre-pass, inert-row
-// pruning and the per-section outcome cache; the remaining fields set the
-// per-injection supervision policy.
+// EngineKind); Journal/Completed make a campaign resumable; Sense and
+// SectionCache enable the static pre-pass and the per-section outcome
+// cache; the remaining fields set the per-injection supervision policy.
 type ExecOptions = campaign.ExecOptions
 
 // EngineKind selects the execution engine a guest runs on. The zero value is

@@ -4,9 +4,10 @@
 #   sh scripts/verify.sh         (or: make verify)
 #
 # Runs build, vet (of the root module and the nested campaignbench/ module),
-# and the full test suite, then a single iteration of the
-# Snapshot benchmarks, which rewrites BENCH_snapshot.json in the repo root
-# with the replay-from-boot vs restore-from-snapshot numbers on this host.
+# and the full test suite, then one reduced-size (-short) iteration of each
+# BENCH benchmark as a smoke test. -short runs never write the BENCH_*.json
+# files, so the script leaves the working tree clean; regenerate those with
+# the make bench targets.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,17 +30,11 @@ go test ./...
 echo "== go test -race (campaign + crashnet + ctlplane: the concurrent farm/journal/transport/control-plane layer)"
 go test -race ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
 
-echo "== snapshot benchmark smoke (-bench=Snapshot -benchtime=1x)"
-go test . -run '^$' -bench Snapshot -benchtime 1x
-
-echo "== BENCH_snapshot.json"
-cat BENCH_snapshot.json
+echo "== snapshot benchmark smoke (-short -bench=Snapshot -benchtime=1x)"
+go test . -short -run '^$' -bench Snapshot -benchtime 1x
 
 echo "== execution-engine benchmark smoke (-short -bench=EngineSpeedup -benchtime=1x)"
 go test . -short -run '^$' -bench EngineSpeedup -benchtime 1x
-
-echo "== BENCH_exec.json"
-cat BENCH_exec.json
 
 echo "== engine-equivalence smoke (tables + journals byte-identical across engines)"
 go test ./internal/campaign/ -run 'TestEngineEquivalence' -count 1
@@ -47,13 +42,7 @@ go test ./internal/campaign/ -run 'TestEngineEquivalence' -count 1
 echo "== static-sense benchmark smoke (-short -bench=StaticSense -benchtime=1x)"
 go test . -short -run '^$' -bench StaticSense -benchtime 1x
 
-echo "== BENCH_sense.json"
-cat BENCH_sense.json
-
 echo "== hardened mini-campaign smoke (-short -bench=BenchmarkHarden -benchtime=1x)"
 go test . -short -run '^$' -bench BenchmarkHarden -benchtime 1x
-
-echo "== BENCH_harden.json"
-cat BENCH_harden.json
 
 echo "verify: OK"
