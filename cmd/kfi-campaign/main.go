@@ -1,18 +1,21 @@
 // Command kfi-campaign runs the paper's error-injection campaigns against
 // one or both simulated platforms and prints the Table 5/6-style statistics,
-// crash-cause distributions, and cycles-to-crash histograms. Raw results can
-// be logged as JSON lines for later analysis with kfi-report.
+// crash-cause distributions, and cycles-to-crash histograms. With -journal,
+// every classified result is recorded in one outcome journal per platform
+// and campaign, which kfi-report re-renders later and -resume continues.
 //
 // Examples:
 //
 //	kfi-campaign -platform both -campaign all -n 300
-//	kfi-campaign -platform p4 -campaign code -n 1790 -out p4-code.jsonl
+//	kfi-campaign -platform p4 -campaign code -n 1790 -journal runs/
+//	kfi-report runs/
 //	kfi-campaign -paper-fraction 0.05    # 5% of the paper's 115k injections
 //
 // With -submit, the same flags describe campaigns handed to a ctlplane
 // coordinator instead of run locally; worker machines started with
 // `kfi-ctl work` execute them, and the derived per-(platform, campaign)
-// seeds match a local run of the same flags exactly:
+// seeds match a local run of the same flags exactly. The execution engine is
+// each worker's own setting (kfi-ctl work -engine), not part of a submission:
 //
 //	kfi-campaign -submit -coordinator 127.0.0.1:9380 -platform both -campaign all -n 300
 package main
@@ -49,7 +52,6 @@ func run(args []string) error {
 		paperFrac    = fs.Float64("paper-fraction", 0, "scale the paper's own campaign sizes instead of -n")
 		seed         = fs.Int64("seed", 1, "target-generation seed")
 		scale        = fs.Int("scale", 1, "benchmark workload scale")
-		out          = fs.String("out", "", "append raw results as JSON lines to this file")
 		figures      = fs.Bool("figures", true, "print crash-cause and latency figures")
 		quiet        = fs.Bool("quiet", false, "suppress progress output")
 		burst        = fs.Int("burst", 1, "bits flipped per injection (1 = the paper's single-bit model)")
@@ -112,13 +114,16 @@ func run(args []string) error {
 		if *n <= 0 {
 			return fmt.Errorf("-submit requires an explicit -n (the coordinator does not scale paper sizes)")
 		}
+		if engine != 0 {
+			return fmt.Errorf("-submit does not take -engine: the engine is each worker's setting (kfi-ctl work -engine)")
+		}
 		client, err := ctlplane.NewClient(*coordinator)
 		if err != nil {
 			return fmt.Errorf("-coordinator: %w", err)
 		}
 		for _, p := range platforms {
 			for _, c := range campaigns {
-				spec := ctlplane.SpecFor(p, c, *n, *seed, uint8(*burst), *scale, *retries, hardenOpts, engine)
+				spec := ctlplane.SpecFor(p, c, *n, *seed, uint8(*burst), *scale, *retries, hardenOpts)
 				st, err := client.Submit(spec)
 				if err != nil {
 					return fmt.Errorf("submitting %v %v: %w", p, c, err)
@@ -138,15 +143,6 @@ func run(args []string) error {
 		for _, c := range campaigns {
 			counts[c] = *n
 		}
-	}
-
-	var logFile *os.File
-	if *out != "" {
-		logFile, err = os.OpenFile(*out, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		defer logFile.Close()
 	}
 
 	if *cpuprofile != "" {
@@ -251,24 +247,6 @@ func run(args []string) error {
 			}
 			fmt.Printf("Registers whose corruption manifested on %v: %s\n\n",
 				p, strings.Join(study.SensitiveRegisters(p), ", "))
-		}
-		if logFile != nil {
-			pr := study.PerPlatform[p]
-			for _, c := range campaigns {
-				if oc := pr.Outcomes[c]; oc != nil {
-					if err := stats.WriteResults(logFile, p, c, oc.Results); err != nil {
-						return err
-					}
-					if *verbose {
-						// Engine-counter summary records ride along only on
-						// request, so default logs stay byte-stable across
-						// runs (counters vary with resume and farm layout).
-						if err := stats.WriteEngineStats(logFile, p, c, oc.Engine, oc.EngineStats); err != nil {
-							return err
-						}
-					}
-				}
-			}
 		}
 	}
 	if *figures {

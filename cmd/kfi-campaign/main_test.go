@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kfi"
+	"kfi/internal/campaign"
 	"kfi/internal/cli"
+	"kfi/internal/core"
 	"kfi/internal/crashnet"
-	"kfi/internal/stats"
 )
 
 func TestParseCampaigns(t *testing.T) {
@@ -41,6 +43,12 @@ func TestSubmitFlagValidation(t *testing.T) {
 	if err := run([]string{"-coordinator", "127.0.0.1:9380",
 		"-platform", "p4", "-campaign", "code", "-n", "5"}); err == nil {
 		t.Error("-coordinator without -submit accepted")
+	}
+	// The engine is each worker's setting, not part of a submission.
+	err := run([]string{"-submit", "-coordinator", "127.0.0.1:9380", "-engine", "translate",
+		"-platform", "p4", "-campaign", "code", "-n", "5"})
+	if err == nil || !strings.Contains(err.Error(), "kfi-ctl work -engine") {
+		t.Errorf("-submit -engine: error %v does not point at kfi-ctl work -engine", err)
 	}
 }
 
@@ -90,30 +98,19 @@ func TestCrashnetRejectsBadAddress(t *testing.T) {
 	}
 }
 
-func TestCampaignOutFileAndFigures(t *testing.T) {
+func TestCampaignJournalAndFigures(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "results.jsonl")
 	err := run([]string{"-platform", "p4", "-campaign", "stack", "-n", "10",
-		"-seed", "3", "-quiet", "-figures", "-out", out})
+		"-seed", "3", "-quiet", "-figures", "-journal", dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
+	h, rows, err := campaign.ReadJournal(core.JournalPath(dir, kfi.P4, kfi.Stack))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	recs, err := stats.ReadResults(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 10 {
-		t.Errorf("JSONL holds %d records, want 10", len(recs))
-	}
-	// The log must round-trip through kfi-report's grouping.
-	groups := stats.GroupRecords(recs)
-	if len(groups["p4/Stack"]) != 10 {
-		t.Errorf("grouping = %v", len(groups["p4/Stack"]))
+	if h.Platform != kfi.P4 || h.Campaign != kfi.Stack || len(rows) != 10 {
+		t.Errorf("journal holds %v %v with %d rows, want p4 Stack with 10", h.Platform, h.Campaign, len(rows))
 	}
 }
 
@@ -134,9 +131,13 @@ func TestCampaignRejectsBadSelectors(t *testing.T) {
 	if err := run([]string{"-platform", "p4", "-campaign", "paging"}); err == nil {
 		t.Error("unknown campaign accepted")
 	}
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := run([]string{"-platform", "p4", "-campaign", "code", "-n", "1",
-		"-quiet", "-out", "/nonexistent-dir/x.jsonl"}); err == nil {
-		t.Error("unwritable -out accepted")
+		"-quiet", "-journal", filepath.Join(notDir, "sub")}); err == nil {
+		t.Error("unwritable -journal accepted")
 	}
 }
 
@@ -152,30 +153,35 @@ func TestResumeFlagRequiresJournal(t *testing.T) {
 }
 
 // TestJournalResumeCLI runs a journaled campaign to completion, then reruns
-// the same command with -resume: every injection is served from the journal
-// and the JSONL output is byte-identical.
+// the same command with -resume: every injection is served from the journal,
+// which stays byte-identical in canonical form and holds each outcome once.
 func TestJournalResumeCLI(t *testing.T) {
-	dir := t.TempDir()
-	jdir := filepath.Join(dir, "journal")
-	out1 := filepath.Join(dir, "first.jsonl")
-	out2 := filepath.Join(dir, "resumed.jsonl")
+	jdir := filepath.Join(t.TempDir(), "journal")
 	base := []string{"-platform", "g4", "-campaign", "stack", "-n", "8",
 		"-seed", "4", "-quiet", "-figures=false", "-journal", jdir}
-	if err := run(append(base, "-out", out1)); err != nil {
+	canonical := func() []byte {
+		t.Helper()
+		h, rows, err := campaign.ReadJournal(core.JournalPath(jdir, kfi.G4, kfi.Stack))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 8 {
+			t.Fatalf("journal holds %d outcomes, want 8", len(rows))
+		}
+		b, err := campaign.CanonicalJournalBytes(h, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := run(base); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(base, "-resume", "-out", out2)); err != nil {
+	first := canonical()
+	if err := run(append(base, "-resume")); err != nil {
 		t.Fatal(err)
 	}
-	a, err := os.ReadFile(out1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("resumed CLI output differs:\n%s\nvs\n%s", a, b)
+	if !bytes.Equal(first, canonical()) {
+		t.Fatal("resumed CLI run changed the canonical journal")
 	}
 }

@@ -11,7 +11,8 @@
 //
 // Campaigns are submitted with `kfi-campaign -submit -coordinator=URL ...`,
 // which derives the same per-(platform, campaign) specs a local run would
-// execute.
+// execute. The serve journal directory is the campaigns' results record:
+// `kfi-report /var/kfi/journals` renders its tables.
 package main
 
 import (
@@ -115,7 +116,7 @@ func work(args []string, w io.Writer) error {
 		_          = fs.String("coordinator", "", "coordinator base URL (required)")
 		name       = fs.String("name", "", "worker name for leases and logs (default host/pid derived)")
 		poll       = fs.Duration("poll", 2*time.Second, "idle delay between lease polls")
-		engineFlag = fs.String("engine", "", "override the execution engine for every leased chunk: interp, predecode, or translate (default: what each campaign spec selects)")
+		engineFlag = fs.String("engine", "", "execution engine for every leased chunk: interp, predecode, or translate (default: the platform default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,54 +1,98 @@
-// Command kfi-report re-renders the paper's tables and figures from raw
-// injection logs written by kfi-campaign's -out flag. Because the logs carry
-// every classified result, the report can be regenerated, filtered, and
-// compared without re-running the (much slower) injection campaigns.
+// Command kfi-report re-renders the paper's tables and figures from the
+// outcome journals kfi-campaign -journal and kfi-ctl serve write. Because a
+// journal carries every classified result, the report can be regenerated,
+// filtered, and compared without re-running the (much slower) injection
+// campaigns. A directory argument contributes all of its *.kjournal files.
 //
 // Example:
 //
-//	kfi-campaign -platform both -campaign all -out results.jsonl
-//	kfi-report results.jsonl
+//	kfi-campaign -platform both -campaign all -journal runs/
+//	kfi-report runs/
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
-	"kfi"
-	"kfi/internal/cli"
+	"kfi/internal/campaign"
+	"kfi/internal/inject"
+	"kfi/internal/isa"
 	"kfi/internal/stats"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "kfi-report:", err)
 		os.Exit(1)
 	}
 }
 
-// splitKey maps a "p4/Stack" group key back to platform and campaign. The
-// platform half resolves through the registry, so logs from any registered
-// platform group correctly.
-func splitKey(k string) (kfi.Platform, kfi.Campaign) {
-	platform := kfi.P4
-	name, rest, cut := strings.Cut(k, "/")
-	if !cut {
-		return platform, 0
-	}
-	if p, err := cli.ParsePlatform(name); err == nil {
-		platform = p
-	}
-	for _, c := range kfi.AllCampaigns {
-		if rest == c.String() {
-			return platform, c
-		}
-	}
-	return platform, 0
+// group is one report row: every journaled outcome of one (platform,
+// campaign), in journal index order.
+type group struct {
+	label    string // e.g. "p4/Stack"
+	platform isa.Platform
+	campaign inject.Campaign
+	results  []inject.Result
 }
 
-func run(args []string) error {
+// load reads the journals named by paths and groups their rows by the
+// headers' platform and campaign, ordered by label. A directory contributes
+// its *.kjournal files; a damaged journal contributes its valid prefix.
+func load(paths []string) ([]*group, error) {
+	byLabel := map[string]*group{}
+	var groups []*group
+	for _, path := range paths {
+		files, err := journalFiles(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, file := range files {
+			h, rows, err := campaign.ReadJournal(file)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", file, err)
+			}
+			label := h.Platform.Short() + "/" + h.Campaign.String()
+			g := byLabel[label]
+			if g == nil {
+				g = &group{label: label, platform: h.Platform, campaign: h.Campaign}
+				byLabel[label] = g
+				groups = append(groups, g)
+			}
+			for _, i := range slices.Sorted(maps.Keys(rows)) {
+				g.results = append(g.results, rows[i])
+			}
+		}
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].label < groups[j].label })
+	return groups, nil
+}
+
+// journalFiles expands one argument: a file stands for itself, a directory
+// for its *.kjournal files.
+func journalFiles(path string) ([]string, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.IsDir() {
+		return []string{path}, nil
+	}
+	files, err := filepath.Glob(filepath.Join(path, "*.kjournal"))
+	if err == nil && len(files) == 0 {
+		err = fmt.Errorf("%s: no *.kjournal files", path)
+	}
+	return files, err
+}
+
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("kfi-report", flag.ContinueOnError)
 	var (
 		latency   = fs.Bool("latency", true, "print cycles-to-crash histograms")
@@ -62,148 +106,110 @@ func run(args []string) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: kfi-report [flags] results.jsonl...")
+		return fmt.Errorf("usage: kfi-report [flags] journal-or-dir...")
+	}
+	groups, err := load(fs.Args())
+	if err != nil {
+		return err
 	}
 
-	var recs []stats.Record
-	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		batch, err := stats.ReadResults(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		recs = append(recs, batch...)
-	}
-
-	groups := stats.GroupRecords(recs)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	fmt.Println(stats.TableHeader())
+	fmt.Fprintln(w, stats.TableHeader())
 	quarantined, detected := 0, 0
-	for _, k := range keys {
-		results := groups[k]
-		c := stats.Summarize(results)
-		fmt.Println(c.TableRow(k))
+	for _, g := range groups {
+		c := stats.Summarize(g.results)
+		fmt.Fprintln(w, c.TableRow(g.label))
 		quarantined += c.Quarantined
 		detected += c.Detected
 	}
 	if quarantined > 0 {
-		fmt.Printf("Quarantined (harness retry budget exhausted, excluded from the table): %d\n", quarantined)
-	}
-	// Logs written with `kfi-campaign -v` carry per-campaign engine-counter
-	// summary records; render one line per group that has one.
-	engines := stats.GroupEngineRecords(recs)
-	for _, k := range keys {
-		if rec, ok := engines[k]; ok {
-			fmt.Printf("%s — %s\n", k, stats.EngineLine(rec.Engine, *rec.EngineStats))
-		}
+		fmt.Fprintf(w, "Quarantined (harness retry budget exhausted, excluded from the table): %d\n", quarantined)
 	}
 	if detected > 0 {
-		fmt.Printf("Detected by the hardened kernel's software fault detector: %d\n", detected)
+		fmt.Fprintf(w, "Detected by the hardened kernel's software fault detector: %d\n", detected)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	// Logs from hardened campaigns additionally get the detection-coverage
-	// view: the paper-faithful columns above never count detections, so
-	// render the coverage table whenever any group recorded one.
+	// Journals from hardened campaigns additionally get the
+	// detection-coverage view: the paper-faithful columns above never count
+	// detections, so render the coverage table whenever any group recorded
+	// one.
 	if detected > 0 {
-		fmt.Println(stats.CoverageHeader())
-		for _, k := range keys {
-			fmt.Println(stats.Summarize(groups[k]).CoverageRow(k))
+		fmt.Fprintln(w, stats.CoverageHeader())
+		for _, g := range groups {
+			fmt.Fprintln(w, stats.Summarize(g.results).CoverageRow(g.label))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if *confusion {
-		for _, k := range keys {
-			conf := stats.Confuse(groups[k])
+		for _, g := range groups {
+			conf := stats.Confuse(g.results)
 			if conf.Annotated == 0 && conf.Cached == 0 {
 				continue
 			}
-			fmt.Printf("%s — %s", k, conf.Render())
-			fmt.Print(stats.RenderByTarget(stats.ConfuseByTarget(groups[k])))
-			if secs := stats.CachedSections(groups[k]); len(secs) > 0 {
-				fmt.Printf("  cached sections: %s\n", strings.Join(secs, ", "))
+			fmt.Fprintf(w, "%s — %s", g.label, conf.Render())
+			fmt.Fprint(w, stats.RenderByTarget(stats.ConfuseByTarget(g.results)))
+			if secs := stats.CachedSections(g.results); len(secs) > 0 {
+				fmt.Fprintf(w, "  cached sections: %s\n", strings.Join(secs, ", "))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
 	if *ci {
-		fmt.Println("95% Wilson intervals (sampling error at this campaign size):")
-		for _, k := range keys {
-			c := stats.Summarize(groups[k])
+		fmt.Fprintln(w, "95% Wilson intervals (sampling error at this campaign size):")
+		for _, g := range groups {
+			c := stats.Summarize(g.results)
 			base := c.ActivatedBase()
 			if base == 0 {
 				continue
 			}
 			mLo, mHi := stats.Wilson95(c.Manifested(), base)
 			cLo, cHi := stats.Wilson95(c.Crash, base)
-			fmt.Printf("  %-12s manifested %5.1f%% [%5.1f, %5.1f]   known crash %5.1f%% [%5.1f, %5.1f]   (n=%d)\n",
-				k, 100*float64(c.Manifested())/float64(base), mLo, mHi,
+			fmt.Fprintf(w, "  %-12s manifested %5.1f%% [%5.1f, %5.1f]   known crash %5.1f%% [%5.1f, %5.1f]   (n=%d)\n",
+				g.label, 100*float64(c.Manifested())/float64(base), mLo, mHi,
 				100*float64(c.Crash)/float64(base), cLo, cHi, base)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if *compare {
-		fmt.Println("Paper vs measured (percentages of the activation base):")
-		for _, k := range keys {
-			platform, camp := splitKey(k)
-			if camp == 0 {
-				continue
-			}
-			if row := stats.CompareTableRow(platform, camp, stats.Summarize(groups[k])); row != "" {
-				fmt.Println("  " + row)
+		fmt.Fprintln(w, "Paper vs measured (percentages of the activation base):")
+		for _, g := range groups {
+			if row := stats.CompareTableRow(g.platform, g.campaign, stats.Summarize(g.results)); row != "" {
+				fmt.Fprintln(w, "  "+row)
 			}
 		}
-		fmt.Println()
-		for _, k := range keys {
-			platform, camp := splitKey(k)
-			if camp == 0 {
-				continue
-			}
-			d := stats.CrashCauses(groups[k])
+		fmt.Fprintln(w)
+		for _, g := range groups {
+			d := stats.CrashCauses(g.results)
 			if d.Total == 0 {
 				continue
 			}
-			if out := stats.CompareCauses(platform, camp, d); out != "" {
-				fmt.Printf("Crash causes vs paper, %s:\n%s\n", k, out)
+			if out := stats.CompareCauses(g.platform, g.campaign, d); out != "" {
+				fmt.Fprintf(w, "Crash causes vs paper, %s:\n%s\n", g.label, out)
 			}
 		}
 	}
 
-	for _, k := range keys {
-		results := groups[k]
-		platform := kfi.P4
-		if k[:2] == "g4" {
-			platform = kfi.G4
-		}
+	for _, g := range groups {
 		if *causes {
-			d := stats.CrashCauses(results)
+			d := stats.CrashCauses(g.results)
 			if d.Total > 0 {
-				fmt.Printf("Crash causes, %s\n%s\n", k, d.Render(platform))
+				fmt.Fprintf(w, "Crash causes, %s\n%s\n", g.label, d.Render(g.platform))
 			}
 		}
 		if *latency {
-			h := stats.Latencies(results)
+			h := stats.Latencies(g.results)
 			if h.Total > 0 {
-				fmt.Printf("Cycles-to-crash, %s\n%s\n", k, h.Render())
+				fmt.Fprintf(w, "Cycles-to-crash, %s\n%s\n", g.label, h.Render())
 			}
 		}
-		if prop := stats.Propagate(results); prop.Crashes > 0 {
-			fmt.Println(prop.Render())
+		if prop := stats.Propagate(g.results); prop.Crashes > 0 {
+			fmt.Fprintln(w, prop.Render())
 		}
 		if *registers {
-			byReg := stats.ByRegister(results)
+			byReg := stats.ByRegister(g.results)
 			if len(byReg) > 0 {
 				names := make([]string, 0, len(byReg))
 				for n := range byReg {
@@ -215,11 +221,11 @@ func run(args []string) error {
 					}
 					return names[i] < names[j]
 				})
-				fmt.Printf("Manifesting registers, %s:\n", k)
+				fmt.Fprintf(w, "Manifesting registers, %s:\n", g.label)
 				for _, n := range names {
-					fmt.Printf("  %-12s %d\n", n, byReg[n])
+					fmt.Fprintf(w, "  %-12s %d\n", n, byReg[n])
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 		}
 	}

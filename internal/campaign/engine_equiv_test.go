@@ -2,14 +2,14 @@ package campaign_test
 
 // Engine-equivalence harness for the ExecEngine seam: every execution
 // engine (step interpreter, predecoded interpreter, basic-block translator)
-// must produce byte-identical campaign outcome tables and journal record
-// streams on both platforms — and identical to the goldens in testdata, so
-// an engine cannot drift even in ways the engines happen to share. The
-// engines differ only in wall-clock throughput; any divergence here is a
+// must produce byte-identical campaign outcome tables and journal files,
+// header included, on both platforms — and identical to the goldens in
+// testdata, so an engine cannot drift even in ways the engines happen to
+// share. The engines differ only in wall-clock throughput, which is why the
+// engine is not part of a journal's identity; any divergence here is a
 // translator (or predecode-cache) soundness bug, not a tolerance to widen.
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,22 +24,6 @@ import (
 	"kfi/internal/stats"
 	"kfi/internal/workload"
 )
-
-// journalBody strips a journal's header frame (4-byte length + JSON payload
-// + 4-byte CRC), leaving the outcome record stream. Headers legitimately
-// differ across engines — they record which engine ran — so equivalence is
-// asserted on every byte after the header.
-func journalBody(t *testing.T, b []byte) []byte {
-	t.Helper()
-	if len(b) < 8 {
-		t.Fatalf("journal too short for a header frame: %d bytes", len(b))
-	}
-	end := 4 + int(binary.BigEndian.Uint32(b)) + 4
-	if end > len(b) {
-		t.Fatalf("journal header frame (%d bytes) overruns the file (%d bytes)", end, len(b))
-	}
-	return b[end:]
-}
 
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -73,9 +57,7 @@ func TestEngineEquivalence(t *testing.T) {
 					var all []inject.Result
 					for _, spec := range equivSpecs {
 						jpath := filepath.Join(t.TempDir(), "journal.bin")
-						h := campaign.HeaderFor(p, golden, spec)
-						h.Engine = kind.String() // what kfi-campaign -engine records
-						j, err := campaign.CreateJournal(jpath, h)
+						j, err := campaign.CreateJournal(jpath, campaign.HeaderFor(p, golden, spec))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -103,9 +85,9 @@ func TestEngineEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got, want := journalBody(t, jbytes), journalBody(t, gold); string(got) != string(want) {
-							t.Errorf("%s %v journal records differ from golden (%d bytes vs %d): engine changed observable outcomes",
-								spec.Campaign, kind, len(got), len(want))
+						if string(jbytes) != string(gold) {
+							t.Errorf("%s %v journal differs from golden (%d bytes vs %d): engine changed observable outcomes",
+								spec.Campaign, kind, len(jbytes), len(gold))
 						}
 					}
 					table.WriteString("\n" + stats.CrashCauses(all).Render(p) + "\n")

@@ -65,14 +65,15 @@ type ExecOptions struct {
 	// MaxAttempts bounds supervised attempts per injection before its
 	// outcome is recorded as inject.OQuarantined (0 = default 3).
 	MaxAttempts int
-	// InjectionTimeout is the per-attempt wall-clock watchdog. An attempt
-	// that exceeds it is abandoned and retried on a respawned node (Farm,
-	// NodeRunner and study runs; RunWith cannot replace its caller's machine
-	// and reports an error). 0 = default 2m; negative disables the watchdog.
-	InjectionTimeout time.Duration
-	// RetryBackoff is the delay before the first retry; it doubles with
-	// every further attempt (0 = default 2ms).
-	RetryBackoff time.Duration
+	// injectionTimeout (tests) overrides the per-attempt wall-clock
+	// watchdog. An attempt that exceeds it is abandoned and retried on a
+	// respawned node (Farm, NodeRunner and study runs; RunWith cannot
+	// replace its caller's machine and reports an error). 0 = default 2m;
+	// negative disables the watchdog.
+	injectionTimeout time.Duration
+	// retryBackoff (tests) overrides the delay before the first retry; it
+	// doubles with every further attempt (0 = default 2ms).
+	retryBackoff time.Duration
 }
 
 // recorder serializes campaign completion accounting: the monotone progress
@@ -321,9 +322,11 @@ func (r *chunkRunner) runTarget(o trigOrder) (inject.Result, error) {
 
 // replaceNode swaps in a fresh guest system after a watchdog timeout left
 // the current machine to an abandoned goroutine. Runners without respawn
-// (RunWith) run on their caller's machine and cannot replace it.
+// (RunWith) run on their caller's machine and cannot replace it; they drop
+// their state so close leaves the machine to the abandoned attempt.
 func (r *chunkRunner) replaceNode() error {
 	if r.respawn == nil {
+		r.st = &nodeState{sys: r.st.sys}
 		return fmt.Errorf("campaign: injection exceeded the %v wall-clock watchdog; the caller's machine is unrecoverable (run through a Farm for automatic respawn)", r.sup.timeout)
 	}
 	sys, err := r.respawn()

@@ -80,13 +80,6 @@ type Header struct {
 	// spliced into an uncached run (or vice versa) — the rows would differ
 	// byte-for-byte even though the outcomes match.
 	Cached bool `json:"cached,omitempty"`
-	// Engine names the execution engine the campaign ran on (e.g.
-	// "translate", see internal/platform.EngineKind); empty for the platform
-	// default, so pre-engine journals remain byte-identical. Outcomes are
-	// engine-invariant by construction, but resume still refuses to splice a
-	// journal written under one engine into a run under another: a divergence
-	// between engines is exactly the bug that policy exists to surface.
-	Engine string `json:"engine,omitempty"`
 }
 
 // HeaderFor builds the journal header for a campaign spec.
@@ -173,26 +166,33 @@ func ResumeJournal(path string, h Header) (*Journal, map[int]inject.Result, erro
 	return &Journal{f: f}, completed, nil
 }
 
-// ReadJournal scans a journal file read-only, returning its header and the
-// outcomes of the longest valid record prefix.
+// ReadJournal scans a journal file read-only; see ScanJournal.
 func ReadJournal(path string) (Header, map[int]inject.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	defer f.Close()
-	h, completed, _, err := scanJournal(f, false)
+	return ScanJournal(f)
+}
+
+// ScanJournal reads a journal stream, returning its header and the outcomes
+// of the longest valid record prefix. Unlike ResumeJournal it accepts header
+// fields Header does not define, so journals written by earlier builds still
+// report.
+func ScanJournal(r io.Reader) (Header, map[int]inject.Result, error) {
+	h, completed, _, err := scanJournal(r, false)
 	return h, completed, err
 }
 
 // scanJournal reads the header and the longest valid record prefix,
-// returning the file offset just past the last intact frame. Damage — a
+// returning the stream offset just past the last intact frame. Damage — a
 // truncated tail, a length field pointing past EOF, or a CRC mismatch — ends
 // the scan without error; only a missing or malformed header frame fails,
 // and with strict set, a header field Header does not define
 // (ErrJournalHeader).
-func scanJournal(f *os.File, strict bool) (Header, map[int]inject.Result, int64, error) {
-	r := &frameReader{r: f}
+func scanJournal(rd io.Reader, strict bool) (Header, map[int]inject.Result, int64, error) {
+	r := &frameReader{r: rd}
 	hp, ok := r.next()
 	if !ok {
 		return Header{}, nil, 0, errors.New("no intact header frame")
@@ -332,7 +332,7 @@ func frame(payload []byte) []byte {
 // before Append returns (a killed process loses nothing), and the file is
 // fsynced every journalSyncEvery appends.
 func (j *Journal) Append(idx int, r inject.Result) error {
-	payload, err := json.Marshal(journalRecord{Idx: idx, Result: r})
+	payload, err := EncodeRecord(idx, r)
 	if err != nil {
 		return err
 	}

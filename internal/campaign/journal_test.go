@@ -81,6 +81,46 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalPreservesBurstAndForensics: the journal is the only results
+// record, so every field the report renders — burst width, byte offset,
+// crash site and cause, latency — survives a write and read back.
+func TestJournalPreservesBurstAndForensics(t *testing.T) {
+	in := inject.Result{
+		Outcome:   inject.OCrash,
+		Activated: true,
+		Cause:     isa.CauseIllegalInstr,
+		Latency:   4242,
+		CrashPC:   0x10204,
+		CrashFunc: "getblk",
+		Target: inject.Target{
+			Campaign: inject.CampCode,
+			Addr:     0x10200,
+			ByteOff:  2,
+			Bit:      5,
+			Burst:    4,
+			Func:     "getblk",
+		},
+	}
+	path := filepath.Join(t.TempDir(), "c.kjournal")
+	j, err := CreateJournal(path, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(3, in); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, completed, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := completed[3]; !ok || got != in {
+		t.Errorf("round trip lost fields: %+v, want %+v", got, in)
+	}
+}
+
 func TestJournalHeaderMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.kjournal")
 	h := testHeader()
@@ -108,10 +148,14 @@ func TestJournalHeaderMismatch(t *testing.T) {
 // TestJournalResumeRejectsUnknownHeaderFields: a journal whose header
 // carries a field this build does not define — a mode marker from another
 // build, such as the pruning marker of earlier builds whose journals hold
-// synthesized rows — must not be spliced into a run. ReadJournal still
-// reads such files.
+// synthesized rows, or the engine marker earlier builds wrote — must not be
+// spliced into a run. ReadJournal still reads such files.
 func TestJournalResumeRejectsUnknownHeaderFields(t *testing.T) {
-	for name, extra := range map[string]string{"prune": `"prune":true`, "future": `"future":1`} {
+	for name, extra := range map[string]string{
+		"prune":  `"prune":true`,
+		"engine": `"engine":"translate"`,
+		"future": `"future":1`,
+	} {
 		t.Run(name, func(t *testing.T) {
 			h := testHeader()
 			hp, err := json.Marshal(h)

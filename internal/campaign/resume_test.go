@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,15 +37,19 @@ func (c *countingSender) count() int {
 	return c.n
 }
 
-// serialize renders results exactly as kfi-campaign's -out log does; the
+// serialize renders results as the campaign's canonical journal; the
 // resume-equivalence contract is byte identity of this serialization.
 func serialize(t *testing.T, p isa.Platform, spec Spec, results []inject.Result) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := stats.WriteResults(&buf, p, spec.Campaign, results); err != nil {
+	rows := make(map[int]inject.Result, len(results))
+	for i, r := range results {
+		rows[i] = r
+	}
+	b, err := CanonicalJournalBytes(HeaderFor(p, 0, spec), rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestInterruptAndResumeEquivalence kills a journaled campaign partway
@@ -154,7 +159,7 @@ func TestPanickingInjectionQuarantined(t *testing.T) {
 		}
 		return inject.RunFrom(sys, tg, golden)
 	}
-	res, err := farm.RunWith(spec, nil, ExecOptions{RetryBackoff: time.Nanosecond})
+	res, err := farm.RunWith(spec, nil, ExecOptions{retryBackoff: time.Nanosecond})
 	if err != nil {
 		t.Fatalf("campaign aborted instead of quarantining: %v", err)
 	}
@@ -229,6 +234,68 @@ func TestNodeLossMidCampaignSameOutcomeTable(t *testing.T) {
 	got := serialize(t, isa.RISC, spec, res.Results)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("outcome table changed after node loss\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// blockFirst returns an injectFrom hook that blocks the first injection it
+// sees until release is closed, past any watchdog, and runs every other
+// injection normally. blocked counts the blocked calls.
+func blockFirst(release <-chan struct{}, blocked *atomic.Int32) func(int, *kernel.System, inject.Target, uint32) inject.Result {
+	return func(_ int, sys *kernel.System, tg inject.Target, golden uint32) inject.Result {
+		if blocked.CompareAndSwap(0, 1) {
+			<-release
+			return inject.Result{}
+		}
+		return inject.RunFrom(sys, tg, golden)
+	}
+}
+
+// TestWatchdogTimeout blocks one injection past a tiny wall-clock watchdog.
+// A farm abandons the attempt, respawns the node and retries, so its table
+// matches an unhooked run; RunWith's driver, which has no respawn, reports
+// that the caller's machine is unrecoverable.
+func TestWatchdogTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs injections")
+	}
+	spec := Spec{Campaign: inject.CampStack, N: 8, Seed: 5}
+	opts := ExecOptions{injectionTimeout: 500 * time.Millisecond, retryBackoff: time.Nanosecond}
+	release := make(chan struct{})
+	defer close(release)
+
+	farm, err := NewFarm(isa.CISC, 2, 1, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := farm.RunWith(spec, nil, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocked atomic.Int32
+	farm.injectFrom = blockFirst(release, &blocked)
+	res, err := farm.RunWith(spec, nil, opts)
+	if err != nil {
+		t.Fatalf("farm aborted instead of respawning: %v", err)
+	}
+	if blocked.Load() != 1 {
+		t.Fatal("no injection blocked; the watchdog was never exercised")
+	}
+	for i := range res.Results {
+		if res.Results[i] != ref.Results[i] {
+			t.Errorf("injection %d changed by the watchdog respawn: got %+v, want %+v",
+				i, res.Results[i], ref.Results[i])
+		}
+	}
+
+	single, err := NewFarm(isa.CISC, 1, 1, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked.Store(0)
+	_, err = run(single.nodes, nil, execHooks{injectFrom: blockFirst(release, &blocked)},
+		single.guest.Golden, single.guest.Profile, spec, nil, nil, opts)
+	if err == nil || !strings.Contains(err.Error(), "caller's machine is unrecoverable") {
+		t.Fatalf("RunWith after a watchdog timeout: err = %v, want the unrecoverable-machine error", err)
 	}
 }
 

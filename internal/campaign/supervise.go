@@ -35,8 +35,8 @@ type supervision struct {
 func (o ExecOptions) supervision() supervision {
 	s := supervision{
 		maxAttempts: o.MaxAttempts,
-		timeout:     o.InjectionTimeout,
-		backoff:     o.RetryBackoff,
+		timeout:     o.injectionTimeout,
+		backoff:     o.retryBackoff,
 		sleep:       time.Sleep,
 	}
 	if s.maxAttempts <= 0 {
@@ -114,7 +114,7 @@ func superviseAttempt(timeout time.Duration, fn func() (inject.Result, error)) (
 // quarantinedResult records an injection whose every supervised attempt
 // failed. The guest outcome is unknowable, so none of the paper's
 // failure-distribution columns apply; the diagnostics travel with the result
-// into logs and journals.
+// into journals and reports.
 func quarantinedResult(t inject.Target, attempts int, diag string) inject.Result {
 	return inject.Result{
 		Target:          t,

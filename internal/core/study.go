@@ -243,9 +243,6 @@ func openJournal(cfg Config, p isa.Platform, golden uint32, spec campaign.Spec) 
 	path := JournalPath(cfg.JournalDir, p, spec.Campaign)
 	h := campaign.HeaderFor(p, golden, spec)
 	h.Cached = cfg.Exec.SectionCache != ""
-	if cfg.Exec.Engine != 0 {
-		h.Engine = cfg.Exec.Engine.String()
-	}
 	if cfg.Build.Harden.Enabled() {
 		h.Harden = cfg.Build.Harden.String()
 	}

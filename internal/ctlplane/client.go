@@ -214,7 +214,7 @@ func (c *Client) Results(id string) (campaign.Header, map[int]inject.Result, err
 	if err != nil {
 		return campaign.Header{}, nil, err
 	}
-	return DecodeJournal(data)
+	return campaign.ScanJournal(bytes.NewReader(data))
 }
 
 // RawResults fetches a finished campaign's canonical journal bytes.
@@ -233,30 +233,4 @@ func (c *Client) RawResults(id string) ([]byte, error) {
 		return nil, decodeErr(resp)
 	}
 	return io.ReadAll(resp.Body)
-}
-
-// DecodeJournal parses journal bytes (header frame, then record frames)
-// into the header and outcome table.
-func DecodeJournal(data []byte) (campaign.Header, map[int]inject.Result, error) {
-	fr := campaign.NewFrameReader(bytes.NewReader(data))
-	payload, ok := fr.Next()
-	if !ok {
-		return campaign.Header{}, nil, fmt.Errorf("ctlplane: journal has no header frame")
-	}
-	var h campaign.Header
-	if err := json.Unmarshal(payload, &h); err != nil {
-		return campaign.Header{}, nil, fmt.Errorf("ctlplane: bad journal header: %w", err)
-	}
-	out := make(map[int]inject.Result)
-	for {
-		payload, ok := fr.Next()
-		if !ok {
-			return h, out, nil
-		}
-		idx, res, err := campaign.DecodeRecord(payload)
-		if err != nil {
-			return h, out, fmt.Errorf("ctlplane: bad journal record: %w", err)
-		}
-		out[idx] = res
-	}
 }

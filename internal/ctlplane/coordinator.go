@@ -1,6 +1,7 @@
 package ctlplane
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -179,7 +180,11 @@ func (c *Coordinator) writeSpec(id string, spec Spec) error {
 	return os.Rename(tmp, c.specPath(id))
 }
 
-// reload rebuilds the campaign set from the journal directory.
+// reload rebuilds the campaign set from the journal directory. A spec
+// sidecar carrying a field Spec does not define was written by a build whose
+// campaign identity differs from this one's: admitting it under the ID this
+// build derives would start a duplicate of the campaign its journal holds,
+// so reload refuses it, as ResumeJournal refuses unknown header fields.
 func (c *Coordinator) reload() error {
 	entries, err := os.ReadDir(c.cfg.JournalDir)
 	if err != nil {
@@ -190,13 +195,16 @@ func (c *Coordinator) reload() error {
 		if !strings.HasSuffix(name, ".spec.json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(c.cfg.JournalDir, name))
+		path := filepath.Join(c.cfg.JournalDir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
 		var spec Spec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return fmt.Errorf("ctlplane: corrupt spec sidecar %s: %w", name, err)
+		if err := dec.Decode(&spec); err != nil {
+			return fmt.Errorf("ctlplane: spec sidecar %s: %w", path, err)
 		}
 		if _, _, err := c.admit(spec); err != nil {
 			return fmt.Errorf("ctlplane: reloading %s: %w", name, err)
@@ -301,9 +309,6 @@ func (c *Coordinator) prepare(st *campaignState) {
 	header := campaign.HeaderFor(res.Platform, nr.Golden(), res.Spec)
 	if res.Harden.Enabled() {
 		header.Harden = res.Harden.String()
-	}
-	if res.Engine != 0 {
-		header.Engine = res.Engine.String()
 	}
 	journal, completed, err := campaign.ResumeJournal(c.journalPath(st.id), header)
 	if err != nil {

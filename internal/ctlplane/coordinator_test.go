@@ -1,6 +1,8 @@
 package ctlplane
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -270,6 +272,34 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 		t.Fatalf("reloaded status %+v", st3)
 	}
 	assertTableEqual(t, client3, sub.ID, wantTable, wantBytes)
+}
+
+// TestReloadRefusesUnknownSpecFields: a spec sidecar with a field Spec does
+// not define (an engine from an earlier build, or a field from a later one)
+// fails the coordinator's reload with an error naming the file, instead of
+// being admitted under a different campaign ID next to its old journal.
+func TestReloadRefusesUnknownSpecFields(t *testing.T) {
+	for name, extra := range map[string]string{
+		"engine": `"engine":"translate"`,
+		"future": `"future":1`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "p4-stack-00000000.spec.json")
+			data := `{"platform":"p4","campaign":"stack","n":4,"seed":1,` + extra + `}`
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			coord, err := NewCoordinator(Config{JournalDir: dir})
+			if err == nil {
+				coord.Close()
+				t.Fatal("sidecar with an unknown field reloaded")
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("error %q does not name %s", err, path)
+			}
+		})
+	}
 }
 
 // TestCancelAndDrain: cancelling stops a campaign and frees its leases;

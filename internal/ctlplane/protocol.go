@@ -44,7 +44,6 @@ import (
 	"kfi/internal/inject"
 	"kfi/internal/isa"
 	"kfi/internal/kir"
-	"kfi/internal/platform"
 	"kfi/internal/stats"
 )
 
@@ -66,12 +65,6 @@ type Spec struct {
 	// guest with the same passes, so the coordinator's golden cross-check
 	// also pins the hardening configuration.
 	Harden string `json:"harden,omitempty"`
-	// Engine names the execution engine workers run the guest on ("interp",
-	// "predecode", "translate"); empty selects the platform default. Outcomes
-	// are engine-invariant, but the choice is still part of the campaign
-	// identity: the journal header records it, so a resumed or resubmitted
-	// campaign cannot silently splice rows produced under a different engine.
-	Engine string `json:"engine,omitempty"`
 }
 
 // Resolved is a Spec validated against the platform registry.
@@ -81,7 +74,6 @@ type Resolved struct {
 	Scale    int
 	Retries  int
 	Harden   kir.HardenOpts
-	Engine   platform.EngineKind
 }
 
 // Resolve validates the wire spec: the platform and campaign must resolve
@@ -112,17 +104,12 @@ func (s Spec) Resolve() (Resolved, error) {
 	if err != nil {
 		return Resolved{}, err
 	}
-	engine, err := cli.ParseEngine(s.Engine)
-	if err != nil {
-		return Resolved{}, err
-	}
 	return Resolved{
 		Platform: p,
 		Spec:     campaign.Spec{Campaign: c, N: s.N, Seed: s.Seed, Burst: s.Burst},
 		Scale:    scale,
 		Retries:  s.Retries,
 		Harden:   harden,
-		Engine:   engine,
 	}, nil
 }
 
@@ -143,10 +130,6 @@ func (s Spec) ID() (string, error) {
 		// Appended only when set, so every pre-hardening spec keeps the
 		// campaign ID (and journal identity) it always had.
 		canon += "|harden=" + r.Harden.String()
-	}
-	if r.Engine != 0 {
-		// Same back-compat rule: default-engine specs keep their old IDs.
-		canon += "|engine=" + r.Engine.String()
 	}
 	sum := crc32.Checksum([]byte(canon), crc32.MakeTable(crc32.Castagnoli))
 	return fmt.Sprintf("%s-%s-%08x", strings.ToLower(r.Platform.Short()),
@@ -295,7 +278,7 @@ type CrashReport struct {
 // per-(platform, campaign) seed exactly as the local study engine does, so
 // `kfi-campaign -submit` and a local `kfi-campaign` run of the same flags
 // inject the same targets.
-func SpecFor(p isa.Platform, c inject.Campaign, n int, baseSeed int64, burst uint8, scale, retries int, harden kir.HardenOpts, engine platform.EngineKind) Spec {
+func SpecFor(p isa.Platform, c inject.Campaign, n int, baseSeed int64, burst uint8, scale, retries int, harden kir.HardenOpts) Spec {
 	s := Spec{
 		Platform: strings.ToLower(p.Short()),
 		Campaign: campaignSlug(c),
@@ -307,9 +290,6 @@ func SpecFor(p isa.Platform, c inject.Campaign, n int, baseSeed int64, burst uin
 	}
 	if harden.Enabled() {
 		s.Harden = harden.String()
-	}
-	if engine != 0 {
-		s.Engine = engine.String()
 	}
 	return s
 }

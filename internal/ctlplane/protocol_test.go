@@ -88,7 +88,7 @@ func TestSpecIDIdentity(t *testing.T) {
 func TestSpecForMatchesStudySeeds(t *testing.T) {
 	for _, p := range []isa.Platform{isa.CISC, isa.RISC} {
 		for _, c := range []inject.Campaign{inject.CampStack, inject.CampSysReg, inject.CampData, inject.CampCode} {
-			spec := SpecFor(p, c, 50, 7, 1, 1, 0, kir.HardenOpts{}, 0)
+			spec := SpecFor(p, c, 50, 7, 1, 1, 0, kir.HardenOpts{})
 			if spec.Seed != core.SpecSeed(7, p, c) {
 				t.Errorf("%v %v: seed %d, want %d", p, c, spec.Seed, core.SpecSeed(7, p, c))
 			}
@@ -121,8 +121,8 @@ func TestSortStatuses(t *testing.T) {
 }
 
 // TestStreamFrameRoundTrip: rows framed for the wire decode back through the
-// same codec the journal uses, and DecodeJournal reassembles a canonical
-// journal's header and table.
+// same codec the journal uses, and campaign.ScanJournal reassembles a
+// canonical journal's header and table.
 func TestStreamFrameRoundTrip(t *testing.T) {
 	rows := map[int]inject.Result{
 		0: {Outcome: inject.ONotManifested, Activated: true, ActivationKnown: true},
@@ -178,13 +178,13 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 		t.Fatalf("torn stream yielded %d frames, want 1 (the intact one)", n)
 	}
 
-	// DecodeJournal round-trips CanonicalJournalBytes.
+	// ScanJournal round-trips CanonicalJournalBytes.
 	h := campaign.HeaderFor(isa.CISC, 0xDEADBEEF, campaign.Spec{Campaign: inject.CampData, N: 8, Seed: 3})
 	canon, err := campaign.CanonicalJournalBytes(h, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, table, err := DecodeJournal(canon)
+	h2, table, err := campaign.ScanJournal(bytes.NewReader(canon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +202,15 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(canon, again) {
 		t.Error("canonical journal bytes are not stable across decode/encode")
+	}
+	// A record whose index lies outside the campaign ends the valid prefix.
+	bad, _ := campaign.EncodeRecord(h.N, inject.Result{Outcome: inject.OCrash})
+	_, table, err = campaign.ScanJournal(bytes.NewReader(append(canon, campaign.Frame(bad)...)))
+	if err != nil || len(table) != len(rows) {
+		t.Errorf("out-of-range record: %d rows, err %v; want %d rows", len(table), err, len(rows))
+	}
+	// A stream that is not a journal is refused.
+	if _, _, err := campaign.ScanJournal(bytes.NewReader(campaign.Frame([]byte(`{"magic":"nope"}`)))); err == nil {
+		t.Error("frame stream without the journal magic accepted")
 	}
 }

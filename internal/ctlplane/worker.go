@@ -22,10 +22,11 @@ type WorkerConfig struct {
 	Name string
 	// PollInterval is the idle delay between lease requests (0 = 2s).
 	PollInterval time.Duration
-	// Engine, when nonzero, overrides the execution engine for every chunk
-	// this worker runs, regardless of what the campaign spec selected.
-	// Outcomes are engine-invariant, so the override only changes this
-	// machine's throughput.
+	// Engine selects the execution engine for every chunk this worker runs
+	// (0 = the platform default). The engine is a per-process setting, not
+	// part of a campaign's identity: outcomes are engine-invariant, so it
+	// only changes this machine's throughput, and one campaign may collect
+	// rows from workers on different engines.
 	Engine platform.EngineKind
 	// Logf, when set, receives one line per notable event.
 	Logf func(format string, args ...any)
@@ -205,13 +206,7 @@ func (w *Worker) runLease(lease LeaseResponse) error {
 		}
 	}()
 
-	opts := campaign.ExecOptions{MaxAttempts: n.res.Retries, Engine: n.res.Engine}
-	if w.cfg.Engine != 0 {
-		// A worker-local override is sound because outcomes are
-		// engine-invariant; it changes this machine's throughput, nothing
-		// the coordinator journals.
-		opts.Engine = w.cfg.Engine
-	}
+	opts := campaign.ExecOptions{MaxAttempts: n.res.Retries, Engine: w.cfg.Engine}
 	sum, err := w.client.StreamResults(lease.CampaignID, lease.LeaseID,
 		func(send func(idx int, res inject.Result) error) error {
 			return n.nr.RunIndices(n.plan, lease.Indices, opts,

@@ -174,18 +174,18 @@ type Result struct {
 	// Diag carries harness-side diagnostics for OQuarantined results: the
 	// captured panic value (with the failing frame) or the watchdog timeout,
 	// plus the attempt count. Empty for every guest-classified outcome, so
-	// existing logs and tables are unchanged.
+	// existing journals and tables are unchanged.
 	Diag string `json:"Diag,omitempty"`
 
 	// PredClass/PredInert carry the static pre-pass verdict
 	// (internal/staticsense) when a campaign runs with sensing enabled:
 	// the flip's classification-lattice class and whether the analyzer
 	// predicted it inert. Both stay zero when sensing is off, so existing
-	// journals and logs are unchanged.
+	// journals are unchanged.
 	PredClass string `json:"PredClass,omitempty"`
 	PredInert bool   `json:"PredInert,omitempty"`
-	// PredSkipped marks results that journals and -out logs from earlier
-	// builds synthesized from the golden run instead of executing, on the
+	// PredSkipped marks results that journals from earlier builds
+	// synthesized from the golden run instead of executing, on the
 	// strength of an inert prediction. No campaign sets it now; it is kept
 	// so those files still decode, and stats.Confuse keeps such rows out
 	// of its soundness count.
@@ -198,7 +198,7 @@ type Result struct {
 	PredCached bool `json:"PredCached,omitempty"`
 	// DetectSite identifies the hardening check that fired for ODetected
 	// results (the site id compiled into the failed consistency/signature
-	// check). Zero otherwise, so unhardened journals and logs are unchanged.
+	// check). Zero otherwise, so unhardened journals are unchanged.
 	DetectSite uint32 `json:"DetectSite,omitempty"`
 }
 

@@ -18,7 +18,7 @@
 //     allowed; tests are exempt.
 //   - exhaustive engine switches: the same rule for the platform.EngineKind
 //     constants everywhere — an engine kind silently falling through a
-//     dispatch (journal header writer, engine constructor, stats reporter)
+//     dispatch (flag parser, engine constructor, stats reporter)
 //     would let a new engine ship half-wired;
 //   - no direct Step calls outside the engine packages: the ExecEngine seam
 //     exists so every instruction retires through exactly one run loop per

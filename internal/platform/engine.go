@@ -28,7 +28,7 @@ const (
 	numEngineKinds
 )
 
-// String returns the engine name used by flags, journal headers, and specs.
+// String returns the engine name used by flags and reports.
 func (k EngineKind) String() string {
 	switch k {
 	case EngineInterp:

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,39 +162,6 @@ func TestByRegister(t *testing.T) {
 	}
 	if _, ok := m["DR3"]; ok {
 		t.Error("non-manifesting register counted")
-	}
-}
-
-func TestResultsJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := sampleResults()
-	if err := WriteResults(&buf, isa.CISC, inject.CampStack, in); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadResults(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(in) {
-		t.Fatalf("read %d records, want %d", len(recs), len(in))
-	}
-	for i, rec := range recs {
-		if rec.Platform != "p4" || rec.Campaign != "Stack" || rec.Seq != i {
-			t.Errorf("record %d header = %+v", i, rec)
-		}
-		if rec.Result.Outcome != in[i].Outcome {
-			t.Errorf("record %d outcome = %v, want %v", i, rec.Result.Outcome, in[i].Outcome)
-		}
-	}
-	groups := GroupRecords(recs)
-	if len(groups["p4/Stack"]) != len(in) {
-		t.Errorf("grouping lost records: %v", len(groups["p4/Stack"]))
-	}
-}
-
-func TestReadResultsRejectsGarbage(t *testing.T) {
-	if _, err := ReadResults(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage input accepted")
 	}
 }
 
@@ -387,40 +353,5 @@ func TestLatencyBucketBoundariesProperty(t *testing.T) {
 		if h.Buckets[i+1] != 1 {
 			t.Errorf("latency %d should open %s: %v", b, BucketLabels[i+1], h.Buckets)
 		}
-	}
-}
-
-func TestJSONLPreservesBurstAndForensics(t *testing.T) {
-	in := []inject.Result{{
-		Outcome:   inject.OCrash,
-		Activated: true,
-		Cause:     isa.CauseIllegalInstr,
-		Latency:   4242,
-		CrashPC:   0x10204,
-		CrashFunc: "getblk",
-		Target: inject.Target{
-			Campaign: inject.CampCode,
-			Addr:     0x10200,
-			ByteOff:  2,
-			Bit:      5,
-			Burst:    4,
-			Func:     "getblk",
-		},
-	}}
-	var buf bytes.Buffer
-	if err := WriteResults(&buf, isa.RISC, inject.CampCode, in); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadResults(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("%d records", len(recs))
-	}
-	got := recs[0].Result
-	if got.Target.Burst != 4 || got.Target.ByteOff != 2 || got.CrashFunc != "getblk" ||
-		got.Latency != 4242 || got.Cause != isa.CauseIllegalInstr {
-		t.Errorf("round trip lost fields: %+v", got)
 	}
 }

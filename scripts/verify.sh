@@ -4,7 +4,8 @@
 #   sh scripts/verify.sh         (or: make verify)
 #
 # Runs build, vet (of the root module and the nested campaignbench/ module),
-# and the full test suite, then one reduced-size (-short) iteration of each
+# the full test suite, and a campaign -> journal -> report pipeline smoke in
+# a temporary directory, then one reduced-size (-short) iteration of each
 # BENCH benchmark as a smoke test. -short runs never write the BENCH_*.json
 # files, so the script leaves the working tree clean; regenerate those with
 # the make bench targets.
@@ -29,6 +30,15 @@ go test ./...
 
 echo "== go test -race (campaign + crashnet + ctlplane: the concurrent farm/journal/transport/control-plane layer)"
 go test -race ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
+
+echo "== pipeline smoke (kfi-campaign -journal, then kfi-report on the journal directory)"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/kfi-campaign -platform both -campaign stack -n 10 -quiet -figures=false -journal "$tmp" >/dev/null
+go run ./cmd/kfi-report "$tmp" >"$tmp/report.txt"
+for row in p4/Stack g4/Stack; do
+	grep -q "^$row " "$tmp/report.txt" || { echo "verify: kfi-report printed no $row row" >&2; exit 1; }
+done
 
 echo "== snapshot benchmark smoke (-short -bench=Snapshot -benchtime=1x)"
 go test . -short -run '^$' -bench Snapshot -benchtime 1x
