@@ -22,9 +22,10 @@ lint:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent farm/journal/transport/control-plane layer.
+# Race-detector pass over the concurrent farm/journal/transport/control-plane
+# layer; internal/campaign outlasts go test's 10-minute default under -race.
 race:
-	$(GO) test -race ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
+	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
 
 # One-iteration snapshot + execution-engine + static-sense benchmarks;
 # rewrites BENCH_snapshot.json, BENCH_exec.json, and BENCH_sense.json.

@@ -1009,13 +1009,14 @@ func peakRig(b *testing.B, p kfi.Platform, iters uint32) (core platform.Core, re
 	return nil, nil, nil
 }
 
-// BenchmarkEngineSpeedup measures the three execution engines (step
-// interpreter, predecoded interpreter, basic-block translator) on both
-// platforms: raw throughput (instructions per second over the fault-free
-// golden run) and end-to-end code-campaign time, per engine. Every engine's
-// campaign outcome table must match byte-for-byte — engine choice is a pure
-// execution-speed knob, observationally invisible even to injections that
-// corrupt already-translated code. Results go to BENCH_exec.json.
+// BenchmarkEngineSpeedup measures the basic-block translator every guest
+// runs on against the reference step interpreter, on both platforms: raw
+// throughput (instructions per second over the fault-free golden run), peak
+// throughput on a register-dense loop, and end-to-end code-campaign time,
+// per engine. Both engines' campaign outcome tables must match
+// byte-for-byte — the translator is observationally invisible even to
+// injections that corrupt already-translated code. Results go to
+// BENCH_exec.json.
 func BenchmarkEngineSpeedup(b *testing.B) {
 	type engRow struct {
 		StepsPerSec     float64 `json:"steps_per_sec"`
@@ -1030,13 +1031,13 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 		Steps                uint64            `json:"steps_per_run"`
 		PeakSteps            uint64            `json:"peak_steps_per_run"`
 		Engines              map[string]engRow `json:"engines"`
-		TranslateSpeedup     float64           `json:"translate_vs_predecode_speedup"`
-		PeakTranslateSpeedup float64           `json:"peak_translate_vs_predecode_speedup"`
-		CampaignSpeedup      float64           `json:"campaign_translate_vs_predecode_speedup"`
+		TranslateSpeedup     float64           `json:"translate_vs_interp_speedup"`
+		PeakTranslateSpeedup float64           `json:"peak_translate_vs_interp_speedup"`
+		CampaignSpeedup      float64           `json:"campaign_translate_vs_interp_speedup"`
 		Injections           int               `json:"injections"`
 		TablesIdentical      bool              `json:"tables_identical"`
 	}
-	engines := []kfi.EngineKind{kfi.EngineInterp, kfi.EnginePredecode, kfi.EngineTranslate}
+	engines := []platform.EngineKind{platform.EngineInterp, platform.EngineTranslate}
 	rows := map[string]row{}
 	for _, p := range kfi.Platforms {
 		p := p
@@ -1063,12 +1064,15 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 			// End-to-end code campaigns on every engine; the outcome tables
 			// are the correctness half of the claim.
 			er := map[string]engRow{}
-			campNS := map[kfi.EngineKind]int64{}
+			campNS := map[platform.EngineKind]int64{}
 			var baseTable string
 			identical := true
 			for _, k := range engines {
+				if err := m.SetEngine(k); err != nil {
+					b.Fatal(err)
+				}
 				t0 := time.Now()
-				oc, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{Engine: k})
+				oc, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1091,7 +1095,7 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 			}
 
 			// Raw throughput over complete fault-free runs, per engine.
-			tot := map[kfi.EngineKind]time.Duration{}
+			tot := map[platform.EngineKind]time.Duration{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, k := range engines {
@@ -1113,8 +1117,8 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 				er[k.String()] = e
 				b.ReportMetric(e.StepsPerSec, "steps/sec-"+k.String())
 			}
-			execSpeedup := float64(tot[kfi.EnginePredecode]) / float64(tot[kfi.EngineTranslate])
-			campSpeedup := float64(campNS[kfi.EnginePredecode]) / float64(campNS[kfi.EngineTranslate])
+			execSpeedup := float64(tot[platform.EngineInterp]) / float64(tot[platform.EngineTranslate])
+			campSpeedup := float64(campNS[platform.EngineInterp]) / float64(campNS[platform.EngineTranslate])
 			b.ReportMetric(execSpeedup, "translate-speedup")
 			b.ReportMetric(campSpeedup, "campaign-speedup")
 
@@ -1144,7 +1148,7 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 			}
 			// One traced interpreter run counts the loop's retired steps.
 			var peakSteps uint64
-			eng, err := desc.NewEngine(kfi.EngineInterp, core)
+			eng, err := desc.NewEngine(platform.EngineInterp, core)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1153,7 +1157,7 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 			runToHalt(eng)
 			core.SetTrace(nil)
 			var peakState string
-			peakNS := map[kfi.EngineKind]time.Duration{}
+			peakNS := map[platform.EngineKind]time.Duration{}
 			for _, k := range engines {
 				eng, err := desc.NewEngine(k, core)
 				if err != nil {
@@ -1173,16 +1177,14 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 				e.PeakStepsPerSec = float64(peakSteps) / peakNS[k].Seconds()
 				er[k.String()] = e
 			}
-			peakSpeedup := float64(peakNS[kfi.EnginePredecode]) / float64(peakNS[kfi.EngineTranslate])
+			peakSpeedup := float64(peakNS[platform.EngineInterp]) / float64(peakNS[platform.EngineTranslate])
 			b.ReportMetric(peakSpeedup, "peak-translate-speedup")
 			b.Logf("\n%v engines (%d steps/run, %d peak steps, %d injections):\n"+
 				"  interp:    %8.2fM steps/s, peak %8.2fM, campaign %v\n"+
-				"  predecode: %8.2fM steps/s, peak %8.2fM, campaign %v\n"+
-				"  translate: %8.2fM steps/s, peak %8.2fM, campaign %v   (vs predecode: exec %.2fx, peak %.2fx, campaign %.2fx)\n%s",
+				"  translate: %8.2fM steps/s, peak %8.2fM, campaign %v   (vs interp: exec %.2fx, peak %.2fx, campaign %.2fx)\n%s",
 				p, steps, peakSteps, n,
-				er["interp"].StepsPerSec/1e6, er["interp"].PeakStepsPerSec/1e6, time.Duration(campNS[kfi.EngineInterp]),
-				er["predecode"].StepsPerSec/1e6, er["predecode"].PeakStepsPerSec/1e6, time.Duration(campNS[kfi.EnginePredecode]),
-				er["translate"].StepsPerSec/1e6, er["translate"].PeakStepsPerSec/1e6, time.Duration(campNS[kfi.EngineTranslate]),
+				er["interp"].StepsPerSec/1e6, er["interp"].PeakStepsPerSec/1e6, time.Duration(campNS[platform.EngineInterp]),
+				er["translate"].StepsPerSec/1e6, er["translate"].PeakStepsPerSec/1e6, time.Duration(campNS[platform.EngineTranslate]),
 				execSpeedup, peakSpeedup, campSpeedup, baseTable)
 			rows[p.Short()] = row{
 				Steps:                steps,

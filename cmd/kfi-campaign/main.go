@@ -14,8 +14,7 @@
 // With -submit, the same flags describe campaigns handed to a ctlplane
 // coordinator instead of run locally; worker machines started with
 // `kfi-ctl work` execute them, and the derived per-(platform, campaign)
-// seeds match a local run of the same flags exactly. The execution engine is
-// each worker's own setting (kfi-ctl work -engine), not part of a submission:
+// seeds match a local run of the same flags exactly:
 //
 //	kfi-campaign -submit -coordinator 127.0.0.1:9380 -platform both -campaign all -n 300
 package main
@@ -56,8 +55,7 @@ func run(args []string) error {
 		quiet        = fs.Bool("quiet", false, "suppress progress output")
 		burst        = fs.Int("burst", 1, "bits flipped per injection (1 = the paper's single-bit model)")
 		crashAddr    = fs.String("crashnet", "", "UDP address of a kfi-monitor collecting crash packets")
-		engineFlag   = fs.String("engine", "", "execution engine: interp, predecode, or translate (default: the platform default)")
-		verbose      = fs.Bool("v", false, "print execution-engine counters after each platform")
+		verbose      = fs.Bool("v", false, "print the translator's counters after each platform")
 		sense        = fs.Bool("sense", false, "run the static error-sensitivity pre-pass and print the predicted-vs-observed confusion matrix")
 		secCache     = fs.String("section-cache", "", "per-section outcome cache directory: re-runs replay unchanged sections' results and re-inject only changed ones")
 		journalDir   = fs.String("journal", "", "durably journal completed outcomes to this directory (one file per platform+campaign)")
@@ -94,10 +92,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	engine, err := cli.ParseEngine(*engineFlag)
-	if err != nil {
-		return err
-	}
 	if *hardenStudy {
 		if !hardenOpts.Enabled() {
 			return fmt.Errorf("-harden-study requires -harden (e.g. -harden dup+cfsig)")
@@ -113,9 +107,6 @@ func run(args []string) error {
 		}
 		if *n <= 0 {
 			return fmt.Errorf("-submit requires an explicit -n (the coordinator does not scale paper sizes)")
-		}
-		if engine != 0 {
-			return fmt.Errorf("-submit does not take -engine: the engine is each worker's setting (kfi-ctl work -engine)")
 		}
 		client, err := ctlplane.NewClient(*coordinator)
 		if err != nil {
@@ -182,7 +173,6 @@ func run(args []string) error {
 	}
 	cfg.Burst = uint8(*burst)
 	cfg.Exec = kfi.ExecOptions{
-		Engine:       engine,
 		Sense:        *sense,
 		SectionCache: *secCache,
 		MaxAttempts:  *retries,
@@ -225,7 +215,9 @@ func run(args []string) error {
 			pr := study.PerPlatform[p]
 			for _, c := range campaigns {
 				if oc := pr.Outcomes[c]; oc != nil {
-					fmt.Printf("%v %v — %s\n", p, c, stats.EngineLine(oc.Engine.String(), oc.EngineStats))
+					s := oc.EngineStats
+					fmt.Printf("%v %v — translator blocks=%d hits=%d invalidations=%d fallbacks=%d\n",
+						p, c, s.Translated, s.Hits, s.Invalidations, s.Fallbacks)
 				}
 			}
 			fmt.Println()

@@ -44,11 +44,19 @@ func TestSubmitFlagValidation(t *testing.T) {
 		"-platform", "p4", "-campaign", "code", "-n", "5"}); err == nil {
 		t.Error("-coordinator without -submit accepted")
 	}
-	// The engine is each worker's setting, not part of a submission.
-	err := run([]string{"-submit", "-coordinator", "127.0.0.1:9380", "-engine", "translate",
-		"-platform", "p4", "-campaign", "code", "-n", "5"})
-	if err == nil || !strings.Contains(err.Error(), "kfi-ctl work -engine") {
-		t.Errorf("-submit -engine: error %v does not point at kfi-ctl work -engine", err)
+}
+
+// TestEngineFlagRemoved: every guest runs on the translator, so -engine is
+// an unknown flag rather than a knob, locally and with -submit alike.
+func TestEngineFlagRemoved(t *testing.T) {
+	for _, args := range [][]string{
+		{"-engine", "translate", "-platform", "p4", "-campaign", "code", "-n", "1", "-quiet"},
+		{"-submit", "-coordinator", "127.0.0.1:9380", "-engine", "interp", "-platform", "p4", "-campaign", "code", "-n", "5"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -engine") {
+			t.Errorf("run(%q): error %v, want an unknown -engine flag", args, err)
+		}
 	}
 }
 

@@ -12,7 +12,8 @@
 // Campaigns are submitted with `kfi-campaign -submit -coordinator=URL ...`,
 // which derives the same per-(platform, campaign) specs a local run would
 // execute. The serve journal directory is the campaigns' results record:
-// `kfi-report /var/kfi/journals` renders its tables.
+// `kfi-report /var/kfi/journals` renders its tables. Workers run every
+// leased chunk on the basic-block translator; there is no engine choice.
 package main
 
 import (
@@ -113,16 +114,11 @@ func serve(args []string, w io.Writer) error {
 func work(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("kfi-ctl work", flag.ContinueOnError)
 	var (
-		_          = fs.String("coordinator", "", "coordinator base URL (required)")
-		name       = fs.String("name", "", "worker name for leases and logs (default host/pid derived)")
-		poll       = fs.Duration("poll", 2*time.Second, "idle delay between lease polls")
-		engineFlag = fs.String("engine", "", "execution engine for every leased chunk: interp, predecode, or translate (default: the platform default)")
+		_    = fs.String("coordinator", "", "coordinator base URL (required)")
+		name = fs.String("name", "", "worker name for leases and logs (default host/pid derived)")
+		poll = fs.Duration("poll", 2*time.Second, "idle delay between lease polls")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	engine, err := cli.ParseEngine(*engineFlag)
-	if err != nil {
 		return err
 	}
 	wname := *name
@@ -138,7 +134,6 @@ func work(args []string, w io.Writer) error {
 		Coordinator:  client.Base,
 		Name:         wname,
 		PollInterval: *poll,
-		Engine:       engine,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(w, "kfi-ctl[%s]: "+format+"\n", append([]any{wname}, args...)...)
 		},

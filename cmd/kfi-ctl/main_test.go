@@ -29,6 +29,16 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestWorkEngineFlagRemoved: workers run every leased chunk on the
+// translator, so kfi-ctl work has no -engine flag.
+func TestWorkEngineFlagRemoved(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"work", "-coordinator", "127.0.0.1:9380", "-engine", "translate"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -engine") {
+		t.Errorf("work -engine: error %v, want an unknown -engine flag", err)
+	}
+}
+
 // testService spins up a coordinator and returns its base URL.
 func testService(t *testing.T) string {
 	t.Helper()

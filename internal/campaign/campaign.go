@@ -259,11 +259,10 @@ type Result struct {
 	Spec     Spec
 	Platform isa.Platform
 	Results  []inject.Result
-	// Engine is the execution engine the campaign ran on; EngineStats are
-	// its observability counters accumulated over the run (all zero for the
-	// interpreter engines, which have nothing to count). Farm runs sum the
-	// per-node counters. Purely informational: outcomes never depend on them.
-	Engine      platform.EngineKind
+	// EngineStats are the translator's observability counters accumulated
+	// over the run (all zero on the reference interpreter, which has nothing
+	// to count). Farm runs sum the per-node counters. Purely informational:
+	// outcomes never depend on them.
 	EngineStats platform.EngineStats
 }
 

@@ -1,13 +1,13 @@
 package campaign_test
 
-// Engine-equivalence harness for the ExecEngine seam: every execution
-// engine (step interpreter, predecoded interpreter, basic-block translator)
-// must produce byte-identical campaign outcome tables and journal files,
-// header included, on both platforms — and identical to the goldens in
-// testdata, so an engine cannot drift even in ways the engines happen to
-// share. The engines differ only in wall-clock throughput, which is why the
-// engine is not part of a journal's identity; any divergence here is a
-// translator (or predecode-cache) soundness bug, not a tolerance to widen.
+// Engine-equivalence harness for the ExecEngine seam: the basic-block
+// translator every campaign runs on and the reference step interpreter
+// (reachable only through Machine.SetEngine) must produce byte-identical
+// campaign outcome tables and journal files, header included, on both
+// platforms — and identical to the goldens in testdata, so the translator
+// cannot drift even in ways the two engines happen to share. Any divergence
+// here is a translator (or predecode-cache fallback) soundness bug, not a
+// tolerance to widen.
 
 import (
 	"os"
@@ -49,9 +49,11 @@ func TestEngineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, kind := range platform.EngineKinds() {
-				kind := kind
+			for _, kind := range []platform.EngineKind{platform.EngineInterp, platform.EngineTranslate} {
 				t.Run(kind.String(), func(t *testing.T) {
+					if err := sys.Machine.SetEngine(kind); err != nil {
+						t.Fatal(err)
+					}
 					var table strings.Builder
 					table.WriteString(stats.TableHeader() + "\n")
 					var all []inject.Result
@@ -62,15 +64,15 @@ func TestEngineEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						res, err := campaign.RunWith(sys, golden, prof, spec, nil,
-							campaign.ExecOptions{Engine: kind, Journal: j})
+							campaign.ExecOptions{Journal: j})
 						if err != nil {
 							t.Fatal(err)
 						}
 						if err := j.Close(); err != nil {
 							t.Fatal(err)
 						}
-						if res.Engine != kind {
-							t.Fatalf("campaign ran on engine %v, requested %v", res.Engine, kind)
+						if got := sys.Machine.Engine().Kind(); got != kind {
+							t.Fatalf("campaign ran on engine %v, requested %v", got, kind)
 						}
 						c := stats.Summarize(res.Results)
 						table.WriteString(c.TableRow(spec.Campaign.String()) + "\n")

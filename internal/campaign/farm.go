@@ -136,8 +136,10 @@ type execHooks struct {
 // built (up to a respawn budget). Runners keep their snapshot chains across
 // run calls against the same plan.
 type executor struct {
-	golden  uint32
-	opts    ExecOptions
+	golden uint32
+	// sup is the supervision policy every runner, respawned ones included,
+	// executes under; it is fixed when the executor is built.
+	sup     supervision
 	respawn func() (*kernel.System, error)
 	hooks   execHooks
 	runners []*chunkRunner
@@ -146,28 +148,23 @@ type executor struct {
 	retired platform.EngineStats
 }
 
-// newExecutor selects opts.Engine on every node, zeroes its engine
-// counters, and gives it a runner.
+// newExecutor zeroes every node's engine counters and gives it a runner
+// under opts' supervision policy.
 func newExecutor(nodes []*kernel.System, golden uint32, opts ExecOptions,
-	respawn func() (*kernel.System, error), hooks execHooks) (*executor, error) {
-	ex := &executor{golden: golden, opts: opts, respawn: respawn, hooks: hooks}
+	respawn func() (*kernel.System, error), hooks execHooks) *executor {
+	ex := &executor{golden: golden, sup: opts.supervision(), respawn: respawn, hooks: hooks}
 	for _, sys := range nodes {
-		if err := sys.Machine.SetEngine(opts.Engine); err != nil {
-			return nil, err
-		}
 		sys.Machine.Engine().ResetStats()
 		ex.runners = append(ex.runners, ex.newRunner(sys))
 	}
-	return ex, nil
+	return ex
 }
 
 // newRunner gives sys a runner wired to the executor's respawn and hooks,
 // under a fresh node id.
 func (ex *executor) newRunner(sys *kernel.System) *chunkRunner {
-	r := newChunkRunner(sys, ex.golden, ex.opts)
-	if ex.respawn != nil {
-		r.respawn = ex.spawn
-	}
+	r := newChunkRunner(sys, ex.golden, ex.sup)
+	r.respawn = ex.respawn
 	if ex.hooks.injectFrom != nil {
 		r.injectFrom = ex.hooks.injectFrom
 	}
@@ -177,19 +174,6 @@ func (ex *executor) newRunner(sys *kernel.System) *chunkRunner {
 	}
 	ex.nextID++
 	return r
-}
-
-// spawn builds a replacement node on the campaign's engine, so a respawn
-// cannot silently fall back to the platform default.
-func (ex *executor) spawn() (*kernel.System, error) {
-	sys, err := ex.respawn()
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Machine.SetEngine(ex.opts.Engine); err != nil {
-		return nil, err
-	}
-	return sys, nil
 }
 
 // run executes order, a trigger-sorted subset of plan's order, writing each
@@ -267,7 +251,7 @@ func (ex *executor) run(plan *Plan, order []trigOrder, out []inject.Result, done
 			fatal = fmt.Errorf("campaign: node respawn budget exhausted: %w", x.err)
 		default:
 			respawns--
-			sys, err := ex.spawn()
+			sys, err := ex.respawn()
 			if err != nil {
 				fatal = fmt.Errorf("campaign: spawning replacement node: %w", err)
 				break

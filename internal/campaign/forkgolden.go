@@ -9,7 +9,6 @@ import (
 	"kfi/internal/inject"
 	"kfi/internal/kernel"
 	"kfi/internal/machine"
-	"kfi/internal/platform"
 	"kfi/internal/snapshot"
 )
 
@@ -21,14 +20,6 @@ import (
 // literal reboot-and-replay procedure (ReplayFromBoot, the reference the
 // equivalence tests compare against); only wall-clock time differs.
 type ExecOptions struct {
-	// Engine selects the execution engine the guest runs on (step
-	// interpreter, predecoded interpreter, or the basic-block translator —
-	// see internal/platform.EngineKind). The zero value is the platform
-	// default. Outcomes are engine-invariant — the equivalence tests pin
-	// campaign tables and journals byte-identical across engines — so the
-	// choice only changes wall-clock time.
-	Engine platform.EngineKind
-
 	// Journal, when set, durably records every completed outcome (one
 	// append-only record per injection) as the campaign runs, so a killed
 	// process can resume instead of restarting from zero.
@@ -125,17 +116,13 @@ func RunWith(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 }
 
 // run is the one campaign driver behind RunWith, Farm.RunWith and the harden
-// study: it selects the engine on every node, builds the plan on the first,
-// and completes every row through one executor over all of them. respawn
-// (nil: none) builds replacement nodes; targets (nil: generate from spec)
-// is passed to NewPlan.
+// study: it builds the plan on the first node and completes every row
+// through one executor over all of them. respawn (nil: none) builds
+// replacement nodes; targets (nil: generate from spec) is passed to NewPlan.
 func run(nodes []*kernel.System, respawn func() (*kernel.System, error), hooks execHooks,
 	golden uint32, profile *Profile, spec Spec, targets []inject.Target,
 	progress func(done, total int), opts ExecOptions) (*Result, error) {
-	ex, err := newExecutor(nodes, golden, opts, respawn, hooks)
-	if err != nil {
-		return nil, err
-	}
+	ex := newExecutor(nodes, golden, opts, respawn, hooks)
 	defer ex.close()
 	plan, err := NewPlan(nodes[0], golden, profile, spec, targets, opts)
 	if err != nil {
@@ -151,7 +138,7 @@ func run(nodes []*kernel.System, respawn func() (*kernel.System, error), hooks e
 		return nil, err
 	}
 	return &Result{Spec: spec, Platform: nodes[0].Platform, Results: results,
-		Engine: nodes[0].Machine.EngineKind(), EngineStats: ex.stats()}, nil
+		EngineStats: ex.stats()}, nil
 }
 
 // ReplayFromBoot runs targets the paper's literal way, one inject.RunOne per
@@ -175,6 +162,10 @@ func ReplayFromBoot(sys *kernel.System, golden uint32, targets []inject.Target) 
 type nodeState struct {
 	sys  *kernel.System
 	snap *snapshot.Snapshot
+	// trig is the trigger snap was last paused for (0: boot). snap is the
+	// state a from-boot replay pauses in for trig, so it serves any trigger
+	// at or after it.
+	trig uint64
 	// goldenEnd, once set, is the golden run's completion as observed from a
 	// trigger beyond its end; every later trigger is also beyond the end.
 	goldenEnd *machine.RunResult
@@ -200,9 +191,13 @@ type nodeState struct {
 // (the steal queue hands chunks out in global trigger order, and ctlplane
 // leases arrive the same way), the checkpoint only ever advances forward and
 // the invariant above holds across chunk boundaries. A chunk requeued by
-// node failover can carry triggers below the chain position; the runner then
-// restarts its chain from boot, which reproduces the same deterministic
-// pause states.
+// node failover can carry triggers below the last one the chain served; the
+// runner then restarts its chain from boot, which reproduces the same
+// deterministic pause states. A trigger at or below the checkpoint's pause
+// cycle but not below the last trigger served lies in the (T, pause] window
+// above and needs no restart: a pause lands on the first loop-top cycle at
+// or after its trigger, or on the next timer when the guest idles, so
+// neighboring sorted triggers often share one.
 //
 // Every injection is executed under the supervision policy (panic isolation,
 // wall-clock watchdog, retry with backoff, quarantine) — see supervise.go.
@@ -226,11 +221,11 @@ type chunkRunner struct {
 
 // newChunkRunner prepares a runner on sys. The snapshot chain starts lazily
 // on the first attempt. Call close when done.
-func newChunkRunner(sys *kernel.System, golden uint32, opts ExecOptions) *chunkRunner {
+func newChunkRunner(sys *kernel.System, golden uint32, sup supervision) *chunkRunner {
 	return &chunkRunner{
 		st:     &nodeState{sys: sys},
 		golden: golden,
-		sup:    opts.supervision(),
+		sup:    sup,
 		injectFrom: func(_ int, sys *kernel.System, t inject.Target, golden uint32) inject.Result {
 			return inject.RunFrom(sys, t, golden)
 		},
@@ -316,7 +311,7 @@ func (r *chunkRunner) runTarget(o trigOrder) (inject.Result, error) {
 		if attempt >= r.sup.maxAttempts {
 			return quarantinedResult(t, attempt, diag), nil
 		}
-		r.sup.sleep(r.sup.backoff << (attempt - 1))
+		time.Sleep(r.sup.backoff << (attempt - 1))
 	}
 }
 
@@ -343,12 +338,12 @@ func (r *chunkRunner) replaceNode() error {
 // can never corrupt a successor's state.
 func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inject.Result, error) {
 	m := st.sys.Machine
-	if st.snap == nil || o.trig < st.snap.Cycles {
-		// First use, or a requeued/retried trigger behind the chain: restart
-		// the chain from boot. The restarted chain passes through the same
+	if st.snap == nil || o.trig < st.trig {
+		// First use, or a requeued trigger behind the chain: restart the
+		// chain from boot. The restarted chain passes through the same
 		// deterministic pause states, so outcomes are unchanged.
 		m.Reboot()
-		st.snap = snapshot.Capture(m)
+		st.snap, st.trig = snapshot.Capture(m), 0
 	}
 	snap := st.snap
 	if _, err := snap.Restore(m); err != nil {
@@ -367,6 +362,7 @@ func (r *chunkRunner) attempt(st *nodeState, o trigOrder, t inject.Target) (inje
 		if _, err := snap.Recapture(m); err != nil {
 			return inject.Result{}, err
 		}
+		st.trig = o.trig
 	}
 	return r.injectFrom(o.idx, st.sys, t, r.golden), nil
 }

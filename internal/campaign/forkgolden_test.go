@@ -10,6 +10,7 @@ import (
 	"kfi/internal/inject"
 	"kfi/internal/isa"
 	"kfi/internal/kernel"
+	"kfi/internal/snapshot"
 )
 
 // TestForkFromGoldenMatchesReplay is the subsystem's central contract: on a
@@ -138,6 +139,52 @@ func TestJournalBytesDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(raw[0], raw[1]) {
 			t.Errorf("%v: two identical runs wrote different journal bytes", platform)
+		}
+	}
+}
+
+// TestChainCapturesOnce: a trigger-sorted stack or sysreg order run on one
+// chunkRunner captures its snapshot chain once and only ever advances it. A
+// pause lands at or past its trigger (the first loop-top cycle at or after
+// it, or the next timer when the guest idles), so the checkpoint often sits
+// beyond the next trigger; that trigger still lies in the checkpoint's
+// window and must not restart the chain from boot. Outcomes match
+// ReplayFromBoot.
+func TestChainCapturesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaigns are slow")
+	}
+	for _, platform := range []isa.Platform{isa.CISC, isa.RISC} {
+		sys, golden, prof := getSystem(t, platform)
+		for _, camp := range []inject.Campaign{inject.CampStack, inject.CampSysReg} {
+			t.Run(platform.Short()+"/"+camp.String(), func(t *testing.T) {
+				plan, err := NewPlan(sys, golden, prof, Spec{Campaign: camp, N: 60, Seed: 5}, nil, ExecOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ex *executor
+				chains := map[*snapshot.Snapshot]bool{}
+				ex = newExecutor([]*kernel.System{sys}, golden, ExecOptions{}, nil, execHooks{
+					injectFrom: func(_ int, s *kernel.System, tg inject.Target, g uint32) inject.Result {
+						chains[ex.runners[0].st.snap] = true
+						return inject.RunFrom(s, tg, g)
+					},
+				})
+				defer ex.close()
+				out := make([]inject.Result, len(plan.Targets))
+				if err := plan.execute(ex, nil, out, func(int, bool) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if len(chains) != 1 {
+					t.Errorf("the chain was captured %d times, want 1", len(chains))
+				}
+				replay := ReplayFromBoot(sys, golden, plan.Targets)
+				for i := range replay {
+					if !reflect.DeepEqual(replay[i], out[i]) {
+						t.Errorf("injection %d diverges:\n  replay: %+v\n  chain:  %+v", i, replay[i], out[i])
+					}
+				}
+			})
 		}
 	}
 }

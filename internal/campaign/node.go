@@ -65,14 +65,12 @@ func (nr *NodeRunner) RunIndices(plan *Plan, want []int, opts ExecOptions,
 		}
 		wanted[i] = true
 	}
-	if nr.ex == nil || nr.ex.opts.Engine != opts.Engine {
+	// The executor fixes its supervision policy when built: keep it (and
+	// its snapshot chain) only while the options ask for the same policy.
+	if nr.ex == nil || nr.ex.sup != opts.supervision() {
 		nr.Close()
-		ex, err := newExecutor([]*kernel.System{nr.guest.Sys}, nr.guest.Golden, opts,
+		nr.ex = newExecutor([]*kernel.System{nr.guest.Sys}, nr.guest.Golden, opts,
 			nr.guest.Build, execHooks{})
-		if err != nil {
-			return err
-		}
-		nr.ex = ex
 	}
 	out := make([]inject.Result, len(plan.Targets))
 	err := plan.execute(nr.ex, func(idx int) bool { return wanted[idx] }, out,

@@ -146,3 +146,39 @@ func TestNodeRunnerPlanReuseAndErrors(t *testing.T) {
 		t.Fatalf("re-running idx 2 changed the result: %+v vs %+v", first, second)
 	}
 }
+
+// TestNodeRunnerExecutorFollowsOptions: RunIndices keeps its executor, and
+// with it the snapshot chain, across calls with the same supervision policy
+// and rebuilds it when the policy changes, so a later call never runs under
+// an earlier call's MaxAttempts.
+func TestNodeRunnerExecutorFollowsOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs injections")
+	}
+	nr, err := NewNodeRunner(isa.CISC, 1, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nr.Close()
+	plan, err := nr.Plan(Spec{Campaign: inject.CampStack, N: 6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(want []int, opts ExecOptions) *executor {
+		t.Helper()
+		if err := nr.RunIndices(plan, want, opts, func(int, inject.Result) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return nr.ex
+	}
+	first := run([]int{0, 1}, ExecOptions{MaxAttempts: 1})
+	if got := first.sup.maxAttempts; got != 1 {
+		t.Fatalf("first call runs with %d attempts, want 1", got)
+	}
+	if again := run([]int{2, 3}, ExecOptions{MaxAttempts: 1}); again != first {
+		t.Error("executor rebuilt although the options did not change")
+	}
+	if later := run([]int{4, 5}, ExecOptions{MaxAttempts: 5}); later == first || later.sup.maxAttempts != 5 {
+		t.Errorf("MaxAttempts 5 ran under the first call's policy (%d attempts)", later.sup.maxAttempts)
+	}
+}

@@ -28,7 +28,6 @@ type supervision struct {
 	maxAttempts int
 	timeout     time.Duration
 	backoff     time.Duration
-	sleep       func(time.Duration) // swapped out in tests
 }
 
 // supervision resolves the ExecOptions supervision fields to their defaults.
@@ -37,7 +36,6 @@ func (o ExecOptions) supervision() supervision {
 		maxAttempts: o.MaxAttempts,
 		timeout:     o.injectionTimeout,
 		backoff:     o.retryBackoff,
-		sleep:       time.Sleep,
 	}
 	if s.maxAttempts <= 0 {
 		s.maxAttempts = defaultMaxAttempts

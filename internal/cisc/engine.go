@@ -7,16 +7,15 @@ import (
 	"kfi/internal/platform"
 )
 
-// Execution engines for the P4-class core. The step engines wrap the
-// existing interpreter (with or without the predecode cache); the block
-// translator lives in translate.go. All engines are observationally
-// equivalent — same architectural state, cycle counts, and events for every
-// instruction — so campaign outcomes and journals are byte-identical across
-// them.
+// Execution engines for the P4-class core: the block translator
+// (translate.go) that runs every guest, and the step interpreter it is
+// tested against. Both are observationally equivalent — same architectural
+// state, cycle counts, and events for every instruction — so campaign
+// outcomes and journals are byte-identical across them.
 
 // Engines lists the engines the P4 platform supports.
 func (descriptor) Engines() []platform.EngineKind {
-	return []platform.EngineKind{platform.EngineInterp, platform.EnginePredecode, platform.EngineTranslate}
+	return []platform.EngineKind{platform.EngineInterp, platform.EngineTranslate}
 }
 
 // NewEngine builds an execution engine bound to a CISC core.
@@ -26,8 +25,8 @@ func (descriptor) NewEngine(kind platform.EngineKind, c platform.Core) (platform
 		return nil, fmt.Errorf("cisc: engine %v requires a CISC core, got %T", kind, c)
 	}
 	switch kind {
-	case platform.EngineInterp, platform.EnginePredecode:
-		return newStepEngine(kind, cpu), nil
+	case platform.EngineInterp:
+		return newStepEngine(cpu), nil
 	case platform.EngineTranslate:
 		return newTranslator(cpu), nil
 	default:
@@ -35,20 +34,16 @@ func (descriptor) NewEngine(kind platform.EngineKind, c platform.Core) (platform
 	}
 }
 
-// stepEngine is the per-instruction interpreter: EngineInterp is the
-// reference fetch+decode-every-step sequence, EnginePredecode adds the
-// per-page decoded-instruction cache (icache.go).
-type stepEngine struct {
-	kind platform.EngineKind
-	cpu  *CPU
+// stepEngine is the reference interpreter: fetch and decode on every step,
+// with the predecode cache off.
+type stepEngine struct{ cpu *CPU }
+
+func newStepEngine(cpu *CPU) *stepEngine {
+	cpu.SetPredecode(false)
+	return &stepEngine{cpu: cpu}
 }
 
-func newStepEngine(kind platform.EngineKind, cpu *CPU) *stepEngine {
-	cpu.SetPredecode(kind == platform.EnginePredecode)
-	return &stepEngine{kind: kind, cpu: cpu}
-}
-
-func (e *stepEngine) Kind() platform.EngineKind { return e.kind }
+func (e *stepEngine) Kind() platform.EngineKind { return platform.EngineInterp }
 
 func (e *stepEngine) RunUntil(limit uint64) isa.Event { return e.cpu.RunUntil(limit) }
 

@@ -47,12 +47,13 @@ type icachePage struct {
 	// flag is false the fast path is skipped so faults are reported by the
 	// reference sequence.
 	okKernel, okUser bool
-	slots            [mem.PageSize]islot
+	slots            mem.PageTable[islot]
 }
 
 // icacheMaxPages bounds the cache footprint: corrupted control flow can
-// execute from arbitrary pages, and each cached page costs ~sizeof(Inst)*4096.
-// Exceeding the bound drops the whole cache (refill is cheap and rare).
+// execute from arbitrary pages. Each cached page costs a slot chunk per
+// 64-byte stretch it executed from (mem.PageTable). Exceeding the bound
+// drops the whole cache (refill is cheap and rare).
 const icacheMaxPages = 64
 
 // SetPredecode enables or disables the decoded-instruction cache. Disabling
@@ -89,11 +90,10 @@ func (c *CPU) icachePageFor(page uint32) *icachePage {
 // icacheReset drops a page's slots and revalidates its fetchability for the
 // generation gen.
 func (c *CPU) icacheReset(pg *icachePage, page uint32, gen uint64) {
-	*pg = icachePage{
-		gen:      gen,
-		okKernel: c.Mem.PageFetchable(page, false),
-		okUser:   c.Mem.PageFetchable(page, true),
-	}
+	pg.gen = gen
+	pg.okKernel = c.Mem.PageFetchable(page, false)
+	pg.okUser = c.Mem.PageFetchable(page, true)
+	pg.slots.Clear()
 }
 
 // fetchDecode produces the instruction at EIP and its cycle cost. ok=false
@@ -122,7 +122,7 @@ func (c *CPU) fetchDecode(in *Inst, cost *uint8) (isa.Event, bool) {
 		return c.fetchDecodeSlow(in, cost)
 	}
 	off := c.EIP & (mem.PageSize - 1)
-	sl := &pg.slots[off]
+	sl := pg.slots.At(off)
 	switch sl.state {
 	case slotValid:
 		*in, *cost = sl.inst, sl.cost

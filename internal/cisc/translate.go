@@ -72,13 +72,18 @@ type tpage struct {
 	// change without a generation bump).
 	okKernel, okUser bool
 	nblocks          int
-	blocks           [mem.PageSize]*tblock
+	blocks           mem.PageTable[*tblock]
 }
 
 const (
 	// translateMaxPages bounds the translator footprint; exceeding it drops
 	// the whole cache (corrupted control flow can execute anywhere).
 	translateMaxPages = 48
+	// translateMaxBlocks bounds the cached blocks across all pages the same
+	// way: the kernel's working set is a few hundred blocks, while a flip
+	// that sends control flow through data translates thousands, and those
+	// would otherwise stay live until their pages change.
+	translateMaxBlocks = 2048
 	// translateMaxInstrs caps a block's instruction count.
 	translateMaxInstrs = 64
 )
@@ -89,6 +94,7 @@ type translator struct {
 	pages    map[uint32]*tpage
 	last     *tpage
 	lastPage uint32
+	nblocks  int // cached blocks across all pages
 	stats    platform.EngineStats
 }
 
@@ -185,11 +191,17 @@ func (t *translator) lookup() (uint32, *tblock) {
 		return page, nil
 	}
 	off := c.EIP & (mem.PageSize - 1)
-	blk := pg.blocks[off]
+	slot := pg.blocks.At(off)
+	blk := *slot
 	if blk == nil {
+		if t.nblocks >= translateMaxBlocks {
+			t.pages, t.last, t.nblocks = nil, nil, 0
+			return t.lookup()
+		}
 		blk = t.translate(c.EIP, pg.gen)
-		pg.blocks[off] = blk
+		*slot = blk
 		pg.nblocks++
+		t.nblocks++
 		if len(blk.units) > 0 {
 			t.stats.Translated++
 		}
@@ -201,7 +213,7 @@ func (t *translator) pageFor(page uint32) *tpage {
 	pg := t.pages[page]
 	if pg == nil {
 		if t.pages == nil || len(t.pages) >= translateMaxPages {
-			t.pages = make(map[uint32]*tpage, translateMaxPages)
+			t.pages, t.nblocks = make(map[uint32]*tpage, translateMaxPages), 0
 		}
 		pg = &tpage{gen: ^uint64(0)} // impossible generation: reset on first use
 		t.pages[page] = pg
@@ -214,12 +226,13 @@ func (t *translator) pageFor(page uint32) *tpage {
 func (t *translator) resetPage(pg *tpage, page uint32, gen uint64) {
 	if pg.nblocks > 0 {
 		t.stats.Invalidations++
+		pg.blocks.Clear()
+		t.nblocks -= pg.nblocks
+		pg.nblocks = 0
 	}
-	*pg = tpage{
-		gen:      gen,
-		okKernel: t.cpu.Mem.PageFetchable(page, false),
-		okUser:   t.cpu.Mem.PageFetchable(page, true),
-	}
+	pg.gen = gen
+	pg.okKernel = t.cpu.Mem.PageFetchable(page, false)
+	pg.okUser = t.cpu.Mem.PageFetchable(page, true)
 }
 
 // ciscTerminator reports ops that end a basic block: control transfers,

@@ -57,32 +57,6 @@ func ParsePlatforms(s string) ([]isa.Platform, error) {
 	return nil, fmt.Errorf("unknown platform %q (want %s, or both)", s, shortNames())
 }
 
-// engineNames returns the registered engine names in kind order —
-// "interp, predecode, translate" today — for error messages.
-func engineNames() string {
-	var out []string
-	for _, k := range platform.EngineKinds() {
-		out = append(out, k.String())
-	}
-	return strings.Join(out, ", ")
-}
-
-// ParseEngine resolves an -engine flag value ("interp", "predecode",
-// "translate", case-insensitively). The empty string and "default" select
-// the platform default (the zero EngineKind), so tools can pass the flag
-// through unconditionally.
-func ParseEngine(s string) (platform.EngineKind, error) {
-	name := strings.ToLower(strings.TrimSpace(s))
-	switch name {
-	case "", "default":
-		return 0, nil
-	}
-	if k, ok := platform.EngineByName(name); ok {
-		return k, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want %s, or default)", s, engineNames())
-}
-
 // ParseCampaign resolves a single campaign name.
 func ParseCampaign(s string) (inject.Campaign, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {

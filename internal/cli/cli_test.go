@@ -7,7 +7,6 @@ import (
 
 	"kfi/internal/inject"
 	"kfi/internal/isa"
-	"kfi/internal/platform"
 )
 
 func TestParsePlatform(t *testing.T) {
@@ -97,54 +96,6 @@ func TestUnknownPlatformErrorText(t *testing.T) {
 	}
 	got := err.Error()
 	for _, want := range []string{`unknown platform "vax"`, "p4", "g4", "both"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("error %q does not mention %q", got, want)
-		}
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    platform.EngineKind
-		wantErr bool
-	}{
-		{in: "interp", want: platform.EngineInterp},
-		{in: "predecode", want: platform.EnginePredecode},
-		{in: "translate", want: platform.EngineTranslate},
-		{in: "TRANSLATE", want: platform.EngineTranslate},
-		{in: " interp ", want: platform.EngineInterp},
-		{in: "", want: 0},        // empty selects the platform default
-		{in: "default", want: 0}, // so does "default"
-		{in: "Default", want: 0},
-		{in: "jit", wantErr: true},
-		{in: "icache", wantErr: true},
-	}
-	for _, tc := range cases {
-		got, err := ParseEngine(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseEngine(%q) = %v, want error", tc.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseEngine(%q): %v", tc.in, err)
-		} else if got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestUnknownEngineErrorText(t *testing.T) {
-	// The error must name every registered engine and the default alias, so
-	// a typo on any tool's -engine flag is self-documenting.
-	_, err := ParseEngine("jit")
-	if err == nil {
-		t.Fatal("want error")
-	}
-	got := err.Error()
-	for _, want := range []string{`unknown engine "jit"`, "interp", "predecode", "translate", "default"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("error %q does not mention %q", got, want)
 		}

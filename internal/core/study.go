@@ -103,7 +103,7 @@ type Config struct {
 	// Burst widens the error model: 0 or 1 is the paper's single-bit flip,
 	// k > 1 flips k adjacent bits per injection.
 	Burst uint8
-	// Exec holds the campaign execution options: engine, sense, section
+	// Exec holds the campaign execution options: journal, sense, section
 	// cache, and the per-injection supervision policy (zero value: defaults
 	// throughout).
 	Exec campaign.ExecOptions
@@ -140,9 +140,8 @@ type CampaignOutcome struct {
 	Causes  stats.CauseDist
 	Latency stats.LatencyHist
 	Results []inject.Result
-	// Engine is the execution engine the campaign ran on; EngineStats are
-	// its observability counters (internal/platform.EngineStats).
-	Engine      platform.EngineKind
+	// EngineStats are the translator's observability counters
+	// (internal/platform.EngineStats).
 	EngineStats platform.EngineStats
 }
 
@@ -287,7 +286,6 @@ func summarize(res *campaign.Result) *CampaignOutcome {
 		Causes:      stats.CrashCauses(res.Results),
 		Latency:     stats.Latencies(res.Results),
 		Results:     res.Results,
-		Engine:      res.Engine,
 		EngineStats: res.EngineStats,
 	}
 }

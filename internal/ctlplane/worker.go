@@ -10,7 +10,6 @@ import (
 	"kfi/internal/campaign"
 	"kfi/internal/inject"
 	"kfi/internal/kernel"
-	"kfi/internal/platform"
 )
 
 // WorkerConfig tunes a worker agent.
@@ -22,12 +21,6 @@ type WorkerConfig struct {
 	Name string
 	// PollInterval is the idle delay between lease requests (0 = 2s).
 	PollInterval time.Duration
-	// Engine selects the execution engine for every chunk this worker runs
-	// (0 = the platform default). The engine is a per-process setting, not
-	// part of a campaign's identity: outcomes are engine-invariant, so it
-	// only changes this machine's throughput, and one campaign may collect
-	// rows from workers on different engines.
-	Engine platform.EngineKind
 	// Logf, when set, receives one line per notable event.
 	Logf func(format string, args ...any)
 
@@ -206,7 +199,7 @@ func (w *Worker) runLease(lease LeaseResponse) error {
 		}
 	}()
 
-	opts := campaign.ExecOptions{MaxAttempts: n.res.Retries, Engine: w.cfg.Engine}
+	opts := campaign.ExecOptions{MaxAttempts: n.res.Retries}
 	sum, err := w.client.StreamResults(lease.CampaignID, lease.LeaseID,
 		func(send func(idx int, res inject.Result) error) error {
 			return n.nr.RunIndices(n.plan, lease.Indices, opts,

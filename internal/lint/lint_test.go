@@ -34,7 +34,6 @@ const (
 type EngineKind uint8
 const (
 	EngineInterp EngineKind = iota + 1
-	EnginePredecode
 	EngineTranslate
 
 	numEngineKinds
@@ -332,8 +331,6 @@ func label(k platform.EngineKind) string {
 	switch k {
 	case platform.EngineInterp:
 		return "i"
-	case platform.EnginePredecode:
-		return "p"
 	}
 	return ""
 }
@@ -342,7 +339,7 @@ func label(k platform.EngineKind) string {
 import "x/platform"
 func full(k platform.EngineKind) int {
 	switch k {
-	case platform.EngineInterp, platform.EnginePredecode:
+	case platform.EngineInterp:
 		return 1
 	case platform.EngineTranslate:
 		return 2

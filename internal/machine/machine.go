@@ -231,12 +231,11 @@ func (ma *Machine) Core() Core { return ma.core }
 // Engine returns the active execution engine.
 func (ma *Machine) Engine() platform.ExecEngine { return ma.engine }
 
-// EngineKind returns the active engine's kind.
-func (ma *Machine) EngineKind() platform.EngineKind { return ma.engine.Kind() }
-
 // SetEngine replaces the execution engine. The zero kind selects the
-// platform default. All engines are observationally equivalent, so switching
-// engines never changes run outcomes — only throughput.
+// platform default, the translator. The reference interpreter is reachable
+// only through here, for the equivalence tests and benchmarks; both engines
+// are observationally equivalent, so switching never changes run outcomes —
+// only throughput.
 func (ma *Machine) SetEngine(kind platform.EngineKind) error {
 	if kind == 0 {
 		kind = platform.DefaultEngine(ma.desc)

@@ -43,8 +43,7 @@ func TestReadWriteNoAlloc(t *testing.T) {
 // tracking and generation bumps active on every store.
 func TestWriteNoAllocBaselineArmed(t *testing.T) {
 	m := newAllocMem(t)
-	img := make([]byte, m.Size())
-	m.SetBaseline(img, true)
+	m.SetBaseline(m.CopyImage(), true)
 	defer m.ClearBaseline()
 	if n := testing.AllocsPerRun(1000, func() {
 		m.Write(0x3000, 4, 0xCAFEF00D, false)

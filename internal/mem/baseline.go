@@ -1,10 +1,13 @@
 package mem
 
-import "math/bits"
+import (
+	"bytes"
+	"math/bits"
+)
 
 // Copy-on-write-style restore baselines.
 //
-// A baseline is a full RAM image registered with the memory so that restoring
+// A baseline is a RAM image registered with the memory so that restoring
 // back to it costs O(dirty pages) instead of O(memory size): once a baseline
 // is armed, every write path marks the pages it touches in a dirty bitmap,
 // and RestoreBaseline copies back only those pages. SyncBaseline goes the
@@ -14,31 +17,72 @@ import "math/bits"
 // the snapshot subsystem (see internal/snapshot); CPU state is captured
 // separately.
 
-// SetBaseline arms image as the restore baseline. The image must be exactly
-// the RAM size; SetBaseline panics otherwise (a snapshot from a different
-// machine configuration). When synced is true the image is promised to equal
-// the current RAM contents and the dirty bitmap starts empty; otherwise every
-// page starts dirty, so the first RestoreBaseline performs a full copy and
-// subsequent ones are incremental.
+// Image is a copy of RAM kept page by page with all-zero pages left out.
+// Most of a guest's RAM is zero at boot and at every checkpoint, so an image
+// costs the pages the kernel and workload use rather than the whole RAM.
+// The sealed boot image and every restore baseline are Images.
+type Image struct {
+	pages [][]byte // one entry per RAM page; nil reads as zeros
+}
+
+var zeroPage [PageSize]byte
+
+// CopyImage copies the current RAM contents into a new Image.
+func (m *Memory) CopyImage() *Image {
+	img := &Image{pages: make([][]byte, len(m.gens))}
+	for i := range img.pages {
+		img.store(i, m.page(i))
+	}
+	return img
+}
+
+// store copies src into page i; a page stays left out while it is zero.
+func (img *Image) store(i int, src []byte) {
+	if img.pages[i] == nil {
+		if bytes.Equal(src, zeroPage[:]) {
+			return
+		}
+		img.pages[i] = make([]byte, PageSize)
+	}
+	copy(img.pages[i], src)
+}
+
+// load copies page i into dst.
+func (img *Image) load(i int, dst []byte) {
+	if p := img.pages[i]; p != nil {
+		copy(dst, p)
+	} else {
+		clear(dst)
+	}
+}
+
+// page returns RAM page i.
+func (m *Memory) page(i int) []byte { return m.ram[i*PageSize : (i+1)*PageSize] }
+
+// SetBaseline arms image as the restore baseline. The image must have been
+// copied from a memory of the same size; SetBaseline panics otherwise (a
+// snapshot from a different machine configuration). When synced is true the
+// image is promised to equal the current RAM contents and the dirty bitmap
+// starts empty; otherwise every page starts dirty, so the first
+// RestoreBaseline performs a full copy and subsequent ones are incremental.
 //
-// The memory retains (aliases) image: the caller must not mutate it while the
-// baseline is armed, except through SyncBaseline.
-func (m *Memory) SetBaseline(image []byte, synced bool) {
-	if len(image) != len(m.ram) {
+// The memory retains (aliases) image: it changes only through SyncBaseline
+// while the baseline is armed.
+func (m *Memory) SetBaseline(image *Image, synced bool) {
+	if len(image.pages) != len(m.gens) {
 		panic("mem: baseline image size mismatch")
 	}
 	m.baseline = image
-	pages := (len(m.ram) + PageSize - 1) / PageSize
-	m.dirty = make([]uint64, (pages+63)/64)
+	m.dirty = make([]uint64, (len(m.gens)+63)/64)
 	if !synced {
 		m.markAllDirty()
 	}
 }
 
 // Baseline returns the armed baseline image (nil when none is armed). The
-// snapshot layer uses pointer identity on this slice to recognize that its
-// own image is the armed baseline.
-func (m *Memory) Baseline() []byte { return m.baseline }
+// snapshot layer uses pointer identity to recognize that its own image is
+// the armed baseline.
+func (m *Memory) Baseline() *Image { return m.baseline }
 
 // ClearBaseline disarms baseline tracking; write paths stop paying the
 // dirty-marking cost.
@@ -54,9 +98,9 @@ func (m *Memory) RestoreBaseline() int {
 	if m.baseline == nil {
 		panic("mem: RestoreBaseline without a baseline")
 	}
-	return m.forEachDirtyPage(func(off int) {
-		copy(m.ram[off:off+PageSize], m.baseline[off:off+PageSize])
-		m.gens[off/PageSize]++
+	return m.forEachDirtyPage(func(page int) {
+		m.baseline.load(page, m.page(page))
+		m.gens[page]++
 	})
 }
 
@@ -68,8 +112,8 @@ func (m *Memory) SyncBaseline() int {
 	if m.baseline == nil {
 		panic("mem: SyncBaseline without a baseline")
 	}
-	return m.forEachDirtyPage(func(off int) {
-		copy(m.baseline[off:off+PageSize], m.ram[off:off+PageSize])
+	return m.forEachDirtyPage(func(page int) {
+		m.baseline.store(page, m.page(page))
 	})
 }
 
@@ -80,17 +124,12 @@ func (m *Memory) DirtyPages() int {
 	return n
 }
 
-// Pristine returns the sealed boot image (nil before Seal). Callers must not
-// mutate it; the snapshot layer hashes it to identify the golden prefix a
-// machine will execute.
-func (m *Memory) Pristine() []byte { return m.pristine }
-
-// forEachDirtyPage runs fn for each dirty page's byte offset, clears the
-// bitmap, and returns the page count.
-func (m *Memory) forEachDirtyPage(fn func(off int)) int {
+// forEachDirtyPage runs fn for each dirty page index, clears the bitmap, and
+// returns the page count.
+func (m *Memory) forEachDirtyPage(fn func(page int)) int {
 	n := 0
 	m.visitDirty(func(page int) {
-		fn(page * PageSize)
+		fn(page)
 		n++
 	})
 	for i := range m.dirty {

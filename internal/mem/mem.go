@@ -90,7 +90,7 @@ func (f *Fault) Error() string {
 // protection table. The zero value is unusable; construct with New.
 type Memory struct {
 	ram      []byte
-	pristine []byte // boot-time image for fast reboot
+	pristine *Image // boot-time image for fast reboot
 	flags    []Flags
 	order    binary.ByteOrder
 	regions  []Region
@@ -103,7 +103,7 @@ type Memory struct {
 	// baseline/dirty implement the copy-on-write restore baseline used by
 	// the snapshot subsystem (see baseline.go). dirty is a page bitmap; both
 	// are nil when no baseline is armed.
-	baseline []byte
+	baseline *Image
 	dirty    []uint64
 
 	// gens holds the per-page write-generation counters (see gen.go). Unlike
@@ -326,10 +326,7 @@ func (m *Memory) FlipBit(addr uint32, bit uint) byte {
 
 // Seal records the current RAM contents as the pristine boot image used by
 // Reboot. The machine calls it once after loading the kernel and workload.
-func (m *Memory) Seal() {
-	m.pristine = make([]byte, len(m.ram))
-	copy(m.pristine, m.ram)
-}
+func (m *Memory) Seal() { m.pristine = m.CopyImage() }
 
 // Reboot restores the pristine boot image recorded by Seal. Page flags and
 // regions are retained (they are part of the boot configuration). The whole
@@ -340,5 +337,7 @@ func (m *Memory) Reboot() {
 	}
 	m.markAllDirty()
 	m.bumpAllGens()
-	copy(m.ram, m.pristine)
+	for i := range m.pristine.pages {
+		m.pristine.load(i, m.page(i))
+	}
 }

@@ -170,6 +170,15 @@ func TestSealReboot(t *testing.T) {
 	m := newTestMem()
 	m.RawWrite(0x1234, 4, 0xcafe)
 	m.Seal()
+	kept := 0
+	for _, p := range m.pristine.pages {
+		if p != nil {
+			kept++
+		}
+	}
+	if kept != 1 {
+		t.Errorf("Seal kept %d pages, want only the one non-zero page", kept)
+	}
 	m.RawWrite(0x1234, 4, 0x1111)
 	m.RawWrite(0x2000, 4, 0x2222)
 	m.Reboot()
@@ -293,5 +302,33 @@ func TestFaultError(t *testing.T) {
 	want := "memory fault: null write of 4 bytes at 0x00000008"
 	if got := f.Error(); got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
+	}
+}
+
+// TestImageBaseline: an Image leaves zero pages out, and restoring or
+// syncing a baseline through a left-out page behaves as a full copy would.
+func TestImageBaseline(t *testing.T) {
+	m := newTestMem()
+	m.RawWrite(0x1000, 4, 0xaaaa)
+	img := m.CopyImage()
+	if img.pages[1] == nil || img.pages[2] != nil {
+		t.Fatalf("CopyImage kept page 1: %v, page 2: %v; want only page 1",
+			img.pages[1] != nil, img.pages[2] != nil)
+	}
+	m.SetBaseline(img, true)
+	m.RawWrite(0x2000, 4, 0xbbbb) // into a left-out page
+	if n := m.SyncBaseline(); n != 1 {
+		t.Fatalf("SyncBaseline copied %d pages, want 1", n)
+	}
+	m.RawWrite(0x1000, 4, 0x1111)
+	m.RawWrite(0x2000, 4, 0x2222)
+	m.RawWrite(0x3000, 4, 0x3333) // still left out of the image
+	if n := m.RestoreBaseline(); n != 3 {
+		t.Fatalf("RestoreBaseline copied %d pages, want 3", n)
+	}
+	for addr, want := range map[uint32]uint32{0x1000: 0xaaaa, 0x2000: 0xbbbb, 0x3000: 0} {
+		if got := m.RawRead(addr, 4); got != want {
+			t.Errorf("after restore, word at 0x%x = 0x%x, want 0x%x", addr, got, want)
+		}
 	}
 }

@@ -2,39 +2,35 @@ package platform
 
 import "kfi/internal/isa"
 
-// EngineKind selects one of a platform's execution engines. All engines
-// execute the guest bit-identically — same architectural state, cycle
-// counts, and events for every instruction — and differ only in wall-clock
-// throughput. The interpreter is the reference; every platform must provide
-// it.
+// EngineKind selects one of a platform's execution engines. Production code
+// runs every guest on the basic-block translator; the step interpreter is
+// the reference the equivalence tests and translate fuzzers compare it
+// against. Both execute the guest bit-identically — same architectural
+// state, cycle counts, and events for every instruction — and differ only in
+// wall-clock throughput. Every platform must provide the interpreter.
 type EngineKind uint8
 
-// Engine kinds. The zero value is reserved to mean "platform default" in
-// configuration structs, so journal headers and specs can omit it.
+// Engine kinds. The zero value means "platform default" to
+// machine.Machine.SetEngine.
 const (
 	// EngineInterp is the reference interpreter: fetch + decode + execute
 	// every step, no caching of decoded instructions.
 	EngineInterp EngineKind = iota + 1
-	// EnginePredecode is the interpreter with the per-page decoded-
-	// instruction cache (PR 2), invalidated by memory write-generation
-	// counters.
-	EnginePredecode
 	// EngineTranslate is the basic-block translator: straight-line guest
 	// code becomes arrays of fused Go closures, keyed per page and
-	// invalidated by the same write-generation counters; anything it cannot
-	// (or must not) run falls back to the interpreter.
+	// invalidated by memory write-generation counters; anything it cannot
+	// (or must not) run falls back to the interpreter stepping through the
+	// per-page predecode cache.
 	EngineTranslate
 
 	numEngineKinds
 )
 
-// String returns the engine name used by flags and reports.
+// String returns the engine name used in reports and test names.
 func (k EngineKind) String() string {
 	switch k {
 	case EngineInterp:
 		return "interp"
-	case EnginePredecode:
-		return "predecode"
 	case EngineTranslate:
 		return "translate"
 	default:
@@ -42,30 +38,11 @@ func (k EngineKind) String() string {
 	}
 }
 
-// EngineKinds returns every defined engine kind, in enum order.
-func EngineKinds() []EngineKind {
-	return []EngineKind{EngineInterp, EnginePredecode, EngineTranslate}
-}
-
-// EngineByName resolves an engine kind from its String name.
-func EngineByName(name string) (EngineKind, bool) {
-	for _, k := range EngineKinds() {
-		if name == k.String() {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // DefaultEngine returns the engine a descriptor runs when none is requested:
-// the predecoded interpreter when supported, otherwise the reference
-// interpreter. The default is deliberately NOT the translator — the default
-// engine is the behavior every golden journal in the repo pins.
+// the translator when supported, otherwise the reference interpreter.
 func DefaultEngine(d Descriptor) EngineKind {
-	for _, k := range d.Engines() {
-		if k == EnginePredecode {
-			return EnginePredecode
-		}
+	if SupportsEngine(d, EngineTranslate) {
+		return EngineTranslate
 	}
 	return EngineInterp
 }
@@ -81,7 +58,7 @@ func SupportsEngine(d Descriptor, kind EngineKind) bool {
 }
 
 // EngineStats are the observability counters an engine maintains. The
-// interpreter engines report all zeros; the translator counts its cache
+// interpreter reports all zeros; the translator counts its cache
 // behavior and how often it had to fall back to stepping.
 type EngineStats struct {
 	// Translated counts basic blocks decoded into closure arrays.

@@ -40,7 +40,7 @@ type icachePage struct {
 	// in this page for each mode; false routes to the reference sequence so
 	// faults (bad area vs machine check) are classified there.
 	okKernel, okUser bool
-	slots            [mem.PageSize / 4]islot
+	slots            mem.PageTable[islot] // by word index
 }
 
 // icacheMaxPages bounds the cache footprint (corrupted control flow can
@@ -79,11 +79,10 @@ func (c *CPU) icachePageFor(page uint32) *icachePage {
 // icacheReset drops a page's slots and revalidates its fetchability for the
 // generation gen.
 func (c *CPU) icacheReset(pg *icachePage, page uint32, gen uint64) {
-	*pg = icachePage{
-		gen:      gen,
-		okKernel: c.Mem.PageFetchable(page, false),
-		okUser:   c.Mem.PageFetchable(page, true),
-	}
+	pg.gen = gen
+	pg.okKernel = c.Mem.PageFetchable(page, false)
+	pg.okUser = c.Mem.PageFetchable(page, true)
+	pg.slots.Clear()
 }
 
 // fetchDecode produces the instruction at PC and its cycle cost. ok=false
@@ -111,7 +110,7 @@ func (c *CPU) fetchDecode(in *Inst, cost *uint8) (isa.Event, bool) {
 	if user && !pg.okUser || !user && !pg.okKernel {
 		return c.fetchDecodeSlow(in, cost)
 	}
-	sl := &pg.slots[(c.PC&(mem.PageSize-1))>>2]
+	sl := pg.slots.At((c.PC & (mem.PageSize - 1)) >> 2)
 	switch sl.state {
 	case slotValid:
 		*in, *cost = sl.inst, sl.cost

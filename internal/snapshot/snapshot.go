@@ -22,6 +22,7 @@ import (
 	"errors"
 
 	"kfi/internal/machine"
+	"kfi/internal/mem"
 )
 
 // Snapshot is one captured guest checkpoint.
@@ -33,19 +34,17 @@ type Snapshot struct {
 	// State is the CPU + machine run-loop state.
 	State machine.State
 
-	// Image is the full RAM contents at capture. While the snapshot is armed
-	// as a machine's restore baseline the machine aliases this slice; mutate
-	// it only through Recapture.
-	Image []byte
+	// Image is the RAM contents at capture. While the snapshot is armed as
+	// a machine's restore baseline the machine aliases it; it changes only
+	// through Recapture.
+	Image *mem.Image
 }
 
 // Capture checkpoints the machine's current state and arms the snapshot as
 // the machine's restore baseline, so a later Restore on the same machine
 // costs O(pages dirtied since capture).
 func Capture(ma *machine.Machine) *Snapshot {
-	ram := ma.Mem.RawBytes(0, ma.Mem.Size())
-	image := make([]byte, len(ram))
-	copy(image, ram)
+	image := ma.Mem.CopyImage()
 	ma.Mem.SetBaseline(image, true)
 	return &Snapshot{
 		Cycles: ma.Core().Clock().Cycles(),
@@ -57,8 +56,7 @@ func Capture(ma *machine.Machine) *Snapshot {
 // Armed reports whether s is the machine's active restore baseline (pointer
 // identity on the image).
 func (s *Snapshot) Armed(ma *machine.Machine) bool {
-	b := ma.Mem.Baseline()
-	return len(b) > 0 && len(s.Image) > 0 && &b[0] == &s.Image[0]
+	return s.Image != nil && ma.Mem.Baseline() == s.Image
 }
 
 // errNotArmed reports a Restore or Recapture of a snapshot that is not the

@@ -142,32 +142,14 @@ func RunCampaign(sys *System, camp Campaign, n int, seed int64, progress func(do
 // ExecOptions tune how campaigns execute injections. Every campaign runs
 // fork-from-golden (checkpoint the golden prefix once, restore-inject-resume
 // per experiment), with outcomes identical to the paper's literal
-// reboot-and-replay procedure. Engine selects the execution engine (see
-// EngineKind); Journal/Completed make a campaign resumable; Sense and
-// SectionCache enable the static pre-pass and the per-section outcome
-// cache; the remaining fields set the per-injection supervision policy.
+// reboot-and-replay procedure. Journal/Completed make a campaign resumable;
+// Sense and SectionCache enable the static pre-pass and the per-section
+// outcome cache; MaxAttempts sets the per-injection supervision policy.
 type ExecOptions = campaign.ExecOptions
 
-// EngineKind selects the execution engine a guest runs on. The zero value is
-// the platform default (the predecoded interpreter on both built-in
-// platforms). Engine choice is a pure speed knob: campaign outcome tables and
-// journals are byte-identical across engines.
-type EngineKind = platform.EngineKind
-
-// The three execution engines.
-const (
-	// EngineInterp is the plain fetch-decode-execute step interpreter.
-	EngineInterp = platform.EngineInterp
-	// EnginePredecode is the interpreter with the per-page predecoded
-	// instruction cache.
-	EnginePredecode = platform.EnginePredecode
-	// EngineTranslate is the basic-block threaded-closure translator.
-	EngineTranslate = platform.EngineTranslate
-)
-
-// EngineStats are the observability counters an execution engine maintains
-// (blocks translated, closure-cache hits, write-generation invalidations,
-// interpreter fallbacks).
+// EngineStats are the observability counters of the basic-block translator
+// every guest runs on (blocks translated, closure-cache hits,
+// write-generation invalidations, interpreter fallbacks).
 type EngineStats = platform.EngineStats
 
 // RunCampaignWith is RunCampaign with explicit execution options.

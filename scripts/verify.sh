@@ -29,7 +29,9 @@ echo "== go test ./..."
 go test ./...
 
 echo "== go test -race (campaign + crashnet + ctlplane: the concurrent farm/journal/transport/control-plane layer)"
-go test -race ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
+# internal/campaign alone takes about 13 minutes under -race on 2 vCPUs,
+# past go test's 10-minute default timeout.
+go test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
 
 echo "== pipeline smoke (kfi-campaign -journal, then kfi-report on the journal directory)"
 tmp=$(mktemp -d)
