@@ -23,7 +23,8 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent farm/journal/transport/control-plane
-# layer; internal/campaign outlasts go test's 10-minute default under -race.
+# layer; internal/campaign takes about 15 minutes under -race on 2 vCPUs,
+# past go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
 

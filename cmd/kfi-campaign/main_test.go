@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -192,4 +195,52 @@ func TestJournalResumeCLI(t *testing.T) {
 	if !bytes.Equal(first, canonical()) {
 		t.Fatal("resumed CLI run changed the canonical journal")
 	}
+}
+
+// TestVerboseRowCounts: -v prints each campaign's executed and synthesized
+// row counts beside the translator counters. A data campaign synthesizes
+// the rows whose word the golden run never touches and executes the rest;
+// a -resume rerun serves every row from the journal and counts in neither.
+func TestVerboseRowCounts(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	args := []string{"-platform", "p4", "-campaign", "data", "-paper-fraction", "0.002",
+		"-quiet", "-figures=false", "-v", "-journal", jdir}
+	counts := regexp.MustCompile(`P4-class \(CISC\) Data — rows executed=(\d+) synthesized=(\d+), translator blocks=\d+`)
+	m := counts.FindStringSubmatch(captureStdout(t, func() error { return run(args) }))
+	if m == nil {
+		t.Fatal("-v printed no row counts for p4 Data")
+	}
+	executed, _ := strconv.Atoi(m[1])
+	synthesized, _ := strconv.Atoi(m[2])
+	if executed+synthesized != 92 || synthesized == 0 {
+		t.Errorf("rows executed=%d synthesized=%d, want 92 in all, some synthesized", executed, synthesized)
+	}
+	m = counts.FindStringSubmatch(captureStdout(t, func() error { return run(append(args, "-resume")) }))
+	if m == nil || m[1] != "0" || m[2] != "0" {
+		t.Errorf("resumed run counts %q, want executed=0 synthesized=0", m)
+	}
+}
+
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	ferr := f()
+	w.Close()
+	os.Stdout = old
+	b := <-out
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(b)
 }

@@ -264,6 +264,12 @@ type Result struct {
 	// to count). Farm runs sum the per-node counters. Purely informational:
 	// outcomes never depend on them.
 	EngineStats platform.EngineStats
+	// Executed counts the rows this run's executor ran from a snapshot;
+	// Synthesized counts the rows its plan completed from the traced golden
+	// run without running them (Plan.Pre). Rows resumed from a journal or
+	// served by the section cache count in neither. Unlike wall time, both
+	// are exact: a fixed spec and seed always give the same two numbers.
+	Executed, Synthesized int
 }
 
 // Run executes a campaign: golden is the fault-free checksum; progress (may

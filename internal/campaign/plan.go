@@ -22,7 +22,10 @@ type Plan struct {
 	// (the order a snapshot chain wants them in).
 	Order []int
 	// Pre maps target indices to the rows synthesized without execution:
-	// code targets whose instruction the golden run never reaches.
+	// code targets whose instruction the golden run never reaches, and data
+	// targets whose word it never reads or writes. Each is exact, not a
+	// prediction: by determinism the injected run is the golden run, and
+	// ReplayFromBoot returns the same row.
 	Pre map[int]inject.Result
 
 	// order backs Order with the trigger cycles, so executing a subset
@@ -32,6 +35,9 @@ type Plan struct {
 	// resumed rows (already journaled), then section-cache hits, then Pre
 	// rows by ascending index.
 	ready []readyRow
+	// synthesized counts the Pre rows in ready (those not resumed or
+	// served by the section cache).
+	synthesized int
 	// golden is the traced golden run (nil when nothing needed it).
 	golden *goldenTrace
 	sense  *sensePass
@@ -96,6 +102,7 @@ func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 		if r, ok := p.Pre[i]; ok && !skip[i] {
 			p.ready = append(p.ready, readyRow{idx: i, res: r, journal: true})
 			skip[i] = true
+			p.synthesized++
 		}
 	}
 	kept := p.order[:0]
@@ -110,36 +117,50 @@ func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 }
 
 // sortByTrigger computes each target's trigger cycle and sorts targets by
-// it. Delay-triggered targets (stack, system registers) use their Delay;
-// code targets use the first golden-run execution of their address, and
-// those never executed become synthesized not-activated rows; everything
-// else injects at boot (trigger 0). The golden run is traced when code
-// targets need it or trace is set.
+// it. Delay-triggered targets (stack, system registers) use their Delay.
+// Code and data targets use the traced golden run: a code target triggers
+// at the first execution of its address, a data target at the first touch
+// of its word. A target the golden run never executes or touches becomes a
+// synthesized not-activated row. Any other target injects at boot (trigger
+// 0). The golden run is traced when code or data targets need it or trace
+// is set; the word trace is recorded only when data targets need it.
+//
+// Forking a data row at its first touch is exact. Up to that cycle nothing
+// has read or written the word, so a from-boot run with the bit flipped is
+// the golden run plus the flip; flipping at the pause instead reaches the
+// same state. RunFrom then arms the watchpoint as it would at boot, and the
+// access that fires it is the same one.
 func (p *Plan) sortByTrigger(sys *kernel.System, trace bool) error {
+	words := false
 	for _, t := range p.Targets {
 		trace = trace || t.Campaign == inject.CampCode
+		words = words || (t.Campaign == inject.CampData && t.Delay == 0)
 	}
-	if trace {
+	if trace || words {
 		var err error
-		if p.golden, err = traceGolden(sys); err != nil {
+		if p.golden, err = traceGolden(sys, words); err != nil {
 			return err
 		}
 	}
 	p.order = make([]trigOrder, 0, len(p.Targets))
 	for i, t := range p.Targets {
+		var (
+			trig    uint64
+			reached = true
+		)
 		switch {
 		case t.Delay > 0:
-			p.order = append(p.order, trigOrder{t.Delay, i})
+			trig = t.Delay
 		case t.Campaign == inject.CampCode:
-			c, ok := p.golden.firstHit[t.Addr]
-			if !ok {
-				p.Pre[i] = notActivatedResult(t, p.golden.cycles, p.golden.checksum)
-				continue
-			}
-			p.order = append(p.order, trigOrder{c, i})
-		default:
-			p.order = append(p.order, trigOrder{0, i})
+			trig, reached = p.golden.firstHit[t.Addr]
+		case t.Campaign == inject.CampData:
+			trig, reached = p.golden.firstTouch[t.Addr&^3]
 		}
+		if !reached {
+			p.Pre[i] = notActivatedResult(t, p.golden.cycles, p.golden.checksum)
+			continue
+		}
+		p.order = append(p.order, trigOrder{trig, i})
 	}
 	sort.SliceStable(p.order, func(a, b int) bool { return p.order[a].trig < p.order[b].trig })
 	return nil
@@ -174,33 +195,69 @@ func (p *Plan) execute(ex *executor, want func(idx int) bool, out []inject.Resul
 }
 
 // goldenTrace is one traced golden run: the first cycle at which each PC is
-// about to execute, plus the run's length and checksum.
+// about to execute, optionally the first-touch cycle of each data word, and
+// the run's length and checksum.
 type goldenTrace struct {
 	firstHit map[uint32]uint64
-	cycles   uint64
-	checksum uint32
+	// firstTouch maps every 4-byte word (addr &^ 3, the word
+	// inject.RunFrom's data watchpoint covers) that the golden run reads or
+	// writes to the start cycle of the last instruction completed before
+	// the first such access. The accesses are the guest's loads and stores
+	// and the host glue's raw reads and writes. A snapshot chain pausing for
+	// that trigger stops before the access. nil unless data targets asked
+	// for it.
+	firstTouch map[uint32]uint64
+	cycles     uint64
+	checksum   uint32
 }
 
 // traceGolden runs the benchmark once with tracing and records, per PC, the
 // cycle count just before its first execution — the exact cycle at which a
-// code-injection breakpoint on that address would fire.
-func traceGolden(sys *kernel.System) (*goldenTrace, error) {
+// code-injection breakpoint on that address would fire. With words set it
+// also records each data word's first touch (goldenTrace.firstTouch).
+func traceGolden(sys *kernel.System, words bool) (*goldenTrace, error) {
 	m := sys.Machine
 	m.Reboot()
 	clk := m.Core().Clock()
-	first := make(map[uint32]uint64, 1<<14)
+	tr := &goldenTrace{firstHit: make(map[uint32]uint64, 1<<14)}
+	var last uint64 // start cycle of the last instruction completed
 	m.Core().SetTrace(func(pc uint32, cost uint8) {
-		if _, ok := first[pc]; !ok {
-			// Trace reports after the clock advanced past the instruction.
-			first[pc] = clk.Cycles() - uint64(cost)
+		// Trace reports after the clock advanced past the instruction.
+		last = clk.Cycles() - uint64(cost)
+		if _, ok := tr.firstHit[pc]; !ok {
+			tr.firstHit[pc] = last
 		}
 	})
+	if words {
+		tr.firstTouch = make(map[uint32]uint64, 1<<12)
+		seen := make([]uint64, (m.Mem.Size()/4+63)/64)
+		m.Core().SetAccessTrace(func(addr, size uint32) {
+			touchWords(tr.firstTouch, seen, addr, size, last)
+		})
+	}
 	res := m.Run()
 	m.Core().SetTrace(nil)
+	m.Core().SetAccessTrace(nil)
 	if res.Outcome != machine.OutCompleted {
 		return nil, fmt.Errorf("campaign: traced golden run did not complete: %v", res.Outcome)
 	}
-	return &goldenTrace{firstHit: first, cycles: res.Cycles, checksum: res.Checksum}, nil
+	tr.cycles, tr.checksum = res.Cycles, res.Checksum
+	return tr, nil
+}
+
+// touchWords records cyc as the first touch of every word the access
+// [addr, addr+size) overlaps that has none yet. These are the words whose
+// 4-byte data watchpoint isa.DebugUnit.HitData reports for the access, so
+// an unaligned access spanning two words touches both. seen holds one bit
+// per word of guest memory, set once the word is in first, which keeps the
+// map off the path of every access after a word's first.
+func touchWords(first map[uint32]uint64, seen []uint64, addr, size uint32, cyc uint64) {
+	for w := addr &^ 3; w < addr+size; w += 4 {
+		if i := w / 4; seen[i/64]&(1<<(i%64)) == 0 {
+			seen[i/64] |= 1 << (i % 64)
+			first[w] = cyc
+		}
+	}
 }
 
 // notActivatedResult mirrors RunOne's early return for an error that was

@@ -58,6 +58,10 @@ type CPU struct {
 	// Trace, when non-nil, is called once per retired instruction with the
 	// pre-execution PC and the instruction cost (used by the profiler).
 	Trace func(pc uint32, cost uint8)
+	// Access, when non-nil, is called for every data load and store that
+	// completes, interrupt-frame pushes included, with the access address
+	// and size (used by the golden-run first-touch trace).
+	Access func(addr, size uint32)
 
 	// NoPredecode disables the decoded-instruction cache (see icache.go),
 	// forcing the reference fetch+decode sequence on every Step.
@@ -128,6 +132,9 @@ func (c *CPU) memFault(f *mem.Fault) isa.Event {
 // load performs a checked data read, recording data-breakpoint hits.
 func (c *CPU) load(addr, size uint32) (uint32, *mem.Fault) {
 	v, f := c.Mem.Read(addr, size, c.user())
+	if f == nil && c.Access != nil {
+		c.Access(addr, size)
+	}
 	if f == nil && c.dbSlot < 0 && c.Debug.Armed(isa.BreakData) {
 		if s := c.Debug.HitData(addr, size); s >= 0 {
 			c.dbSlot, c.dbAccess, c.dbAddr = s, isa.AccessRead, addr
@@ -139,6 +146,9 @@ func (c *CPU) load(addr, size uint32) (uint32, *mem.Fault) {
 // store performs a checked data write, recording data-breakpoint hits.
 func (c *CPU) store(addr, size, val uint32) *mem.Fault {
 	f := c.Mem.Write(addr, size, val, c.user())
+	if f == nil && c.Access != nil {
+		c.Access(addr, size)
+	}
 	if f == nil && c.dbSlot < 0 && c.Debug.Armed(isa.BreakData) {
 		if s := c.Debug.HitData(addr, size); s >= 0 {
 			c.dbSlot, c.dbAccess, c.dbAddr = s, isa.AccessWrite, addr

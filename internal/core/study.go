@@ -143,6 +143,8 @@ type CampaignOutcome struct {
 	// EngineStats are the translator's observability counters
 	// (internal/platform.EngineStats).
 	EngineStats platform.EngineStats
+	// Executed and Synthesized are campaign.Result's row counters.
+	Executed, Synthesized int
 }
 
 // PlatformResult holds one platform's campaigns.
@@ -287,6 +289,8 @@ func summarize(res *campaign.Result) *CampaignOutcome {
 		Latency:     stats.Latencies(res.Results),
 		Results:     res.Results,
 		EngineStats: res.EngineStats,
+		Executed:    res.Executed,
+		Synthesized: res.Synthesized,
 	}
 }
 

@@ -91,7 +91,9 @@ func TestDuplicateDelivery(t *testing.T) {
 	ttl := 30 * time.Second
 	_, client := testCoordinator(t, Config{Clock: clock, LeaseTTL: ttl, ChunkSize: 100})
 
-	spec := testSpec(inject.CampData, 10, 21)
+	// Stack rows always execute, so every row goes out in the lease; most
+	// data rows are synthesized from the golden trace at prepare time.
+	spec := testSpec(inject.CampStack, 10, 21)
 	sub, err := client.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,9 @@ func TestStressWorkersDieAndCoordinatorRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := testSpec(inject.CampData, nInject, 11)
+	// Stack rows always execute; most data rows would be synthesized at
+	// prepare time and never reach a worker.
+	spec := testSpec(inject.CampStack, nInject, 11)
 	sub, err := client.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -110,6 +110,10 @@ type Memory struct {
 	// the dirty bitmap they are always on and never reset: the predecode
 	// caches in the execution engines depend on them for invalidation.
 	gens []uint64
+
+	// rawObs, when non-nil, observes every in-range RawRead and RawWrite
+	// (see SetRawObserver).
+	rawObs func(addr, size uint32)
 }
 
 // New creates a memory of the given size (rounded up to a whole number of
@@ -274,6 +278,9 @@ func (m *Memory) RawRead(addr, size uint32) uint32 {
 	if addr+size > uint32(len(m.ram)) || addr+size < addr {
 		return 0
 	}
+	if m.rawObs != nil {
+		m.rawObs(addr, size)
+	}
 	return m.rawRead(addr, size)
 }
 
@@ -283,8 +290,18 @@ func (m *Memory) RawWrite(addr, size, val uint32) {
 	if addr+size > uint32(len(m.ram)) || addr+size < addr {
 		return
 	}
+	if m.rawObs != nil {
+		m.rawObs(addr, size)
+	}
 	m.rawWrite(addr, size, val)
 }
+
+// SetRawObserver installs fn (nil removes it) to observe every in-range
+// RawRead and RawWrite before it happens. The host-side trap glue (context
+// switches, interrupt stack lookup) reaches guest memory only through these
+// two calls, bypassing the debug unit's data breakpoints; the golden-run
+// first-touch trace counts them as accesses all the same.
+func (m *Memory) SetRawObserver(fn func(addr, size uint32)) { m.rawObs = fn }
 
 // RawBytes returns a slice aliasing [addr, addr+n) without checks, or nil if
 // out of range. The range is conservatively marked dirty for baseline

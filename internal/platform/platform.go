@@ -156,6 +156,13 @@ type Core interface {
 	Clock() *isa.CycleCounter
 	Debug() *isa.DebugUnit
 	SetTrace(fn func(pc uint32, cost uint8))
+	// SetAccessTrace installs fn (nil removes it) to observe every data
+	// access the machine makes to guest memory: the core's completed loads
+	// and stores, interrupt-frame pushes included, and every raw host-glue
+	// access to the core's memory (context save/restore, stack lookups),
+	// which the debug unit's data breakpoints cannot see. Like SetTrace it
+	// runs the core on the interpreter while installed.
+	SetAccessTrace(fn func(addr, size uint32))
 	PendingDataBreak() (slot int, access isa.DataAccess, addr uint32, ok bool)
 }
 

@@ -124,9 +124,10 @@ type toyCore struct {
 	pc  uint32
 	ctl uint32 // the single injectable "system register"
 
-	debug isa.DebugUnit
-	clk   isa.CycleCounter
-	trace func(pc uint32, cost uint8)
+	debug  isa.DebugUnit
+	clk    isa.CycleCounter
+	trace  func(pc uint32, cost uint8)
+	access func(addr, size uint32)
 
 	dbSlot   int
 	dbAccess isa.DataAccess
@@ -219,6 +220,9 @@ func (c *toyCore) Step() isa.Event {
 }
 
 func (c *toyCore) watchData(addr uint32, access isa.DataAccess) {
+	if c.access != nil {
+		c.access(addr, 4)
+	}
 	if c.dbSlot < 0 && c.debug.Armed(isa.BreakData) {
 		if s := c.debug.HitData(addr, 4); s >= 0 {
 			c.dbSlot, c.dbAccess, c.dbAddr = s, access, addr
@@ -343,6 +347,11 @@ func (c *toyCore) Clock() *isa.CycleCounter { return &c.clk }
 func (c *toyCore) Debug() *isa.DebugUnit    { return &c.debug }
 
 func (c *toyCore) SetTrace(fn func(pc uint32, cost uint8)) { c.trace = fn }
+
+func (c *toyCore) SetAccessTrace(fn func(addr, size uint32)) {
+	c.access = fn
+	c.mem.SetRawObserver(fn)
+}
 
 func (c *toyCore) PendingDataBreak() (int, isa.DataAccess, uint32, bool) {
 	if c.dbSlot < 0 {

@@ -32,6 +32,10 @@ type CPU struct {
 
 	// Trace, when non-nil, is called once per retired instruction.
 	Trace func(pc uint32, cost uint8)
+	// Access, when non-nil, is called for every data load and store that
+	// completes, interrupt-frame pushes included, with the access address
+	// and size (used by the golden-run first-touch trace).
+	Access func(addr, size uint32)
 
 	// bticValid is false until system software initializes the branch
 	// target instruction cache. If a fault flips HID0[BTIC] on while the
@@ -130,6 +134,9 @@ func (c *CPU) load(addr, size uint32) (uint32, *isa.Event) {
 		ev := c.dataFault(f)
 		return 0, &ev
 	}
+	if c.Access != nil {
+		c.Access(addr, size)
+	}
 	if c.dbSlot < 0 && c.Debug.Armed(isa.BreakData) {
 		if s := c.Debug.HitData(addr, size); s >= 0 {
 			c.dbSlot, c.dbAccess, c.dbAddr = s, isa.AccessRead, addr
@@ -156,6 +163,9 @@ func (c *CPU) store(addr, size, val uint32) *isa.Event {
 	if f := c.Mem.Write(addr, size, val, c.user()); f != nil {
 		ev := c.dataFault(f)
 		return &ev
+	}
+	if c.Access != nil {
+		c.Access(addr, size)
 	}
 	if c.dbSlot < 0 && c.Debug.Armed(isa.BreakData) {
 		if s := c.Debug.HitData(addr, size); s >= 0 {

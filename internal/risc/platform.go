@@ -312,6 +312,11 @@ func (c *coreAdapter) Debug() *isa.DebugUnit    { return &c.cpu.Debug }
 
 func (c *coreAdapter) SetTrace(fn func(pc uint32, cost uint8)) { c.cpu.Trace = fn }
 
+func (c *coreAdapter) SetAccessTrace(fn func(addr, size uint32)) {
+	c.cpu.Access = fn
+	c.mem.SetRawObserver(fn)
+}
+
 func (c *coreAdapter) PendingDataBreak() (int, isa.DataAccess, uint32, bool) {
 	return c.cpu.PendingDataBreak()
 }

@@ -104,11 +104,11 @@ func (t *translator) ResetStats()                 { t.stats = platform.EngineSta
 func (t *translator) RunUntil(limit uint64) isa.Event {
 	c := t.cpu
 	// Anything the block dispatcher cannot reproduce step-for-step —
-	// tracing, armed debug hardware — delegates the whole call to the
-	// interpreter. The armed state only changes between RunUntil calls
-	// (hooks and the injector run with the machine paused), so checking
-	// once up front is exact.
-	if c.Trace != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData) {
+	// instruction or access tracing, armed debug hardware — delegates the
+	// whole call to the interpreter. The armed state only changes between
+	// RunUntil calls (hooks and the injector run with the machine paused),
+	// so checking once up front is exact.
+	if c.Trace != nil || c.Access != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData) {
 		t.stats.Fallbacks++
 		return c.RunUntil(limit)
 	}

@@ -29,8 +29,10 @@ echo "== go test ./..."
 go test ./...
 
 echo "== go test -race (campaign + crashnet + ctlplane: the concurrent farm/journal/transport/control-plane layer)"
-# internal/campaign alone takes about 13 minutes under -race on 2 vCPUs,
-# past go test's 10-minute default timeout.
+# internal/campaign alone takes about 15 minutes under -race on 2 vCPUs
+# (933 s measured), past go test's 10-minute default timeout. About
+# 150 s of it is TestFirstTouchExact, which replays 800 data rows from
+# boot as its reference.
 go test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
 
 echo "== pipeline smoke (kfi-campaign -journal, then kfi-report on the journal directory)"
