@@ -22,28 +22,19 @@ package kfi_test
 // layout, register-file pressure, the unclaimed-bus window, the mid-run
 // trigger methodology, and the multi-bit-burst extension of the error
 // model. BenchmarkPropagation quantifies the Figure 7 phenomenon.
+//
+// These are the paper's artifacts, not speed claims: campaign speed is
+// measured by the campaignbench module (see campaignbench/README.md), which
+// runs each workload repeatedly and reports the spread.
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"kfi"
-	"kfi/internal/campaign"
 	"kfi/internal/cisc"
-	"kfi/internal/isa"
-	"kfi/internal/kernel"
-	"kfi/internal/mem"
-	"kfi/internal/platform"
 	"kfi/internal/risc"
-	"kfi/internal/snapshot"
-	"kfi/internal/staticsense"
-	"kfi/internal/stats"
 )
 
 // Systems are expensive to build; share them across benchmarks.
@@ -52,22 +43,6 @@ var (
 	benchSys  map[kfi.Platform]*kfi.System
 	benchErr  error
 )
-
-// writeBench records a benchmark's per-platform rows in the named BENCH
-// file when every platform produced one. -short runs are reduced-size smoke
-// tests, so they never overwrite the committed full-size figures.
-func writeBench[R any](b *testing.B, name string, rows map[string]R) {
-	if len(rows) != len(kfi.Platforms) || testing.Short() {
-		return
-	}
-	buf, err := json.MarshalIndent(rows, "", "  ")
-	if err == nil {
-		err = os.WriteFile(name, append(buf, '\n'), 0o644)
-	}
-	if err != nil {
-		b.Logf("%s: %v", name, err)
-	}
-}
 
 func benchSystem(b *testing.B, p kfi.Platform) *kfi.System {
 	b.Helper()
@@ -518,55 +493,6 @@ func BenchmarkAblationRegisterPressure(b *testing.B) {
 	}
 }
 
-// --- Substrate performance -----------------------------------------------
-
-// BenchmarkEmulator measures raw interpreter throughput per platform.
-func BenchmarkEmulator(b *testing.B) {
-	for _, p := range kfi.Platforms {
-		p := p
-		b.Run(p.Short(), func(b *testing.B) {
-			sys := benchSystem(b, p)
-			m := sys.Sys.Machine
-			m.Reboot()
-			clk := m.Core().Clock()
-			b.ResetTimer()
-			start := clk.Cycles()
-			m.PauseAt = uint64(b.N) + 1
-			m.Run()
-			b.StopTimer()
-			b.ReportMetric(float64(clk.Cycles()-start)/float64(b.N), "cycles/op")
-		})
-	}
-}
-
-// BenchmarkBenchmarkRun measures complete fault-free benchmark runs
-// (reboot + full workload).
-func BenchmarkBenchmarkRun(b *testing.B) {
-	for _, p := range kfi.Platforms {
-		p := p
-		b.Run(p.Short(), func(b *testing.B) {
-			sys := benchSystem(b, p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := sys.Sys.Run()
-				if res.Checksum != sys.Golden {
-					b.Fatalf("run %d diverged", i)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBuildSystem measures a full system build (compile kernel +
-// workload for both ISAs, boot, seal, profile).
-func BenchmarkBuildSystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := kfi.BuildSystem(kfi.P4, kfi.BuildOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPropagation quantifies the Figure 7 phenomenon: how often a code
 // error escapes the corrupted function (and its subsystem) before crashing.
 // The paper's key P4 risk is exactly this undetected cross-subsystem travel.
@@ -724,688 +650,4 @@ func BenchmarkAblationMidRunTrigger(b *testing.B) {
 			b.Logf("\nP4 stack %s (N=%d): %+v", name, b.N, c)
 		})
 	}
-}
-
-// --- Snapshot subsystem (fork-from-golden) -------------------------------
-
-// BenchmarkSnapshotSpeedup measures what the snapshot subsystem replaces on
-// a fixed-seed code-campaign batch: bringing the guest to each injection's
-// trigger point. Replay-from-boot pays reboot + golden-prefix execution per
-// target; restore-from-snapshot pays one traced golden pass for the whole
-// batch plus an O(dirty pages) restore per target (the fork-from-golden
-// chain internal/campaign runs). Both full campaign modes are also executed
-// and timed, and their outcome tables must match byte-for-byte — the modes
-// are bit-equivalent, only the cost differs. The end-to-end campaign gap is
-// smaller than the establishment gap because both modes still execute every
-// injection's post-injection tail (Amdahl); both numbers go to
-// BENCH_snapshot.json.
-func BenchmarkSnapshotSpeedup(b *testing.B) {
-	type row struct {
-		ReplayNS           int64   `json:"replay_ns"`
-		SnapshotNS         int64   `json:"snapshot_ns"`
-		Speedup            float64 `json:"speedup"`
-		CampaignReplayNS   int64   `json:"campaign_replay_ns"`
-		CampaignSnapshotNS int64   `json:"campaign_snapshot_ns"`
-		CampaignSpeedup    float64 `json:"campaign_speedup"`
-		Injections         int     `json:"injections"`
-		Triggers           int     `json:"triggers"`
-	}
-	rows := map[string]row{}
-	for _, p := range kfi.Platforms {
-		p := p
-		b.Run(p.Short(), func(b *testing.B) {
-			sys := benchSystem(b, p)
-			n := 150
-			if testing.Short() {
-				n = 40
-			}
-			seed := int64(910) + int64(p)
-
-			// The batch's targets: the same ones the campaign below plans.
-			targets, err := kfi.NewTargets(sys, kfi.Code, n, seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-
-			// Full campaigns both ways (untimed by the framework, but
-			// measured): the correctness half of the claim.
-			t0 := time.Now()
-			repTable := kfi.Summarize(campaign.ReplayFromBoot(sys.Sys, sys.Golden, targets)).TableRow("code")
-			campReplay := time.Since(t0)
-			t0 = time.Now()
-			snapC, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			campSnapshot := time.Since(t0)
-			snapTable := snapC.Counts.TableRow("code")
-			if repTable != snapTable {
-				b.Fatalf("outcome tables diverge between modes:\n  replay:   %s\n  snapshot: %s", repTable, snapTable)
-			}
-
-			// Recover the batch's trigger cycles (first execution of each
-			// target address) from one traced golden run.
-			m := sys.Sys.Machine
-			m.Reboot()
-			clk := m.Core().Clock()
-			firstHit := map[uint32]uint64{}
-			m.Core().SetTrace(func(pc uint32, cost uint8) {
-				if _, ok := firstHit[pc]; !ok {
-					firstHit[pc] = clk.Cycles() - uint64(cost)
-				}
-			})
-			m.Run()
-			m.Core().SetTrace(nil)
-			var triggers []uint64
-			for _, t := range targets {
-				if cyc, ok := firstHit[t.Addr]; ok && cyc > 0 {
-					triggers = append(triggers, cyc)
-				}
-			}
-			sort.Slice(triggers, func(i, j int) bool { return triggers[i] < triggers[j] })
-			if len(triggers) == 0 {
-				b.Fatal("no activated targets in the batch")
-			}
-
-			var replayTot, snapTot time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Replay-from-boot: reboot and execute the golden prefix for
-				// every target.
-				t0 := time.Now()
-				for _, trig := range triggers {
-					m.Reboot()
-					m.PauseAt = trig
-					m.Run()
-				}
-				replayTot += time.Since(t0)
-
-				// Restore-from-snapshot: one golden pass chained through the
-				// sorted triggers, one dirty-page restore per target.
-				t0 = time.Now()
-				m.Reboot()
-				m.PauseAt = triggers[0]
-				m.Run()
-				chain := snapshot.Capture(m)
-				for _, trig := range triggers[1:] {
-					if _, err := chain.Restore(m); err != nil {
-						b.Fatal(err)
-					}
-					if trig > chain.Cycles {
-						m.PauseAt = trig
-						m.Run()
-						if _, err := chain.Recapture(m); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if _, err := chain.Restore(m); err != nil {
-					b.Fatal(err)
-				}
-				snapTot += time.Since(t0)
-				m.Mem.ClearBaseline()
-			}
-			b.StopTimer()
-
-			speedup := float64(replayTot) / float64(snapTot)
-			campSpeedup := float64(campReplay) / float64(campSnapshot)
-			b.ReportMetric(speedup, "speedup")
-			b.ReportMetric(float64(replayTot.Nanoseconds())/float64(b.N), "replay-ns/batch")
-			b.ReportMetric(float64(snapTot.Nanoseconds())/float64(b.N), "snapshot-ns/batch")
-			b.ReportMetric(campSpeedup, "campaign-speedup")
-			b.Logf("\n%v code batch (%d injections, %d activated triggers):\n"+
-				"  injection-point establishment: replay %v, snapshot %v, speedup %.1fx\n"+
-				"  end-to-end campaign:           replay %v, snapshot %v, speedup %.2fx\n%s",
-				p, n, len(triggers),
-				replayTot/time.Duration(b.N), snapTot/time.Duration(b.N), speedup,
-				campReplay, campSnapshot, campSpeedup, snapTable)
-			rows[p.Short()] = row{
-				ReplayNS:           replayTot.Nanoseconds() / int64(b.N),
-				SnapshotNS:         snapTot.Nanoseconds() / int64(b.N),
-				Speedup:            speedup,
-				CampaignReplayNS:   campReplay.Nanoseconds(),
-				CampaignSnapshotNS: campSnapshot.Nanoseconds(),
-				CampaignSpeedup:    campSpeedup,
-				Injections:         n,
-				Triggers:           len(triggers),
-			}
-		})
-	}
-	writeBench(b, "BENCH_snapshot.json", rows)
-}
-
-// BenchmarkSnapshotRestoreVsReboot isolates the primitive the speedup rests
-// on: rewinding a machine to a mid-run checkpoint by copying dirty pages
-// versus re-executing the prefix from boot.
-func BenchmarkSnapshotRestoreVsReboot(b *testing.B) {
-	for _, p := range kfi.Platforms {
-		p := p
-		b.Run(p.Short(), func(b *testing.B) {
-			sys := benchSystem(b, p)
-			m := sys.Sys.Machine
-			const trigger = 500_000
-			b.Run("replay-to-trigger", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.Reboot()
-					m.PauseAt = trigger
-					m.Run()
-				}
-			})
-			b.Run("restore-from-snapshot", func(b *testing.B) {
-				m.Reboot()
-				m.PauseAt = trigger
-				m.Run()
-				snap := snapshot.Capture(m)
-				defer m.Mem.ClearBaseline()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.PauseAt = snap.Cycles + 20_000
-					m.Run()
-					if _, err := snap.Restore(m); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
-// --- Execution engines ----------------------------------------------------
-
-// peakRig builds a bare core of platform p primed to run a register-dense
-// compute loop of iters iterations ending in a halt — the translator's best
-// case (every iteration is one fused register-run closure plus one branch),
-// mirroring how dynamic-translation papers report peak vs. workload
-// throughput. It returns the core (to hand to Descriptor.NewEngine), a reset
-// that re-arms the loop without touching memory, and a state snapshot used
-// to assert architectural equivalence across engines.
-func peakRig(b *testing.B, p kfi.Platform, iters uint32) (core platform.Core, reset func(), state func() string) {
-	b.Helper()
-	const base = mem.PageSize
-	desc, ok := platform.ByName(p.Short())
-	if !ok {
-		b.Fatalf("no descriptor for %v", p)
-	}
-	switch p {
-	case kfi.P4:
-		m := mem.New(1<<16, binary.LittleEndian)
-		m.Map(base, mem.PageSize, mem.Present)
-		a := cisc.NewAsm()
-		a.MovRI(1, int32(iters))
-		a.MovRI(2, 0x1234567)
-		a.MovRI(3, 7)
-		a.MovRI(4, 0)
-		a.Label("loop")
-		a.AddRR(2, 3)
-		a.XorRR(4, 2)
-		a.MovRR(5, 4)
-		a.Lea(6, 5, 8)
-		a.IncR(2)
-		a.OrRR(3, 4)
-		a.Movzx16(7, 4)
-		a.AddRI(5, 13)
-		a.NotR(6)
-		a.ShlRI(4, 1)
-		a.SubRI(1, 1)
-		a.Jcc(cisc.CcNE, "loop")
-		a.Hlt()
-		code, err := a.Link(base, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		copy(m.RawBytes(base, uint32(len(code))), code)
-		core = desc.NewCore(m)
-		cpu := cisc.CPUOf(core)
-		reset = func() {
-			cpu.Reset()
-			cpu.Clk = isa.CycleCounter{}
-			cpu.EIP = base
-		}
-		state = func() string {
-			return fmt.Sprint(cpu.Regs, cpu.EIP, cpu.Flags, cpu.Clk.Cycles())
-		}
-		return core, reset, state
-	case kfi.G4:
-		m := mem.New(1<<16, binary.BigEndian)
-		m.Map(base, mem.PageSize, mem.Present)
-		a := risc.NewAsm()
-		a.Li32(1, int32(iters))
-		a.Li32(2, 0x1234567)
-		a.Li(3, 7)
-		a.Li(4, 0)
-		a.Label("loop")
-		a.Add(2, 2, 3)
-		a.Xor(4, 4, 2)
-		a.Mr(5, 4)
-		a.Addi(6, 5, 8)
-		a.Slwi(7, 4, 1)
-		a.Or(3, 3, 4)
-		a.Extsh(8, 4)
-		a.Addi(5, 5, 13)
-		a.Nor(6, 6, 6)
-		a.Srawi(9, 2, 3)
-		a.Addi(1, 1, -1)
-		a.Cmpwi(1, 0)
-		a.Bne("loop")
-		a.Halt()
-		code, err := a.Link(base, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		copy(m.RawBytes(base, uint32(len(code))), code)
-		core = desc.NewCore(m)
-		cpu := risc.CPUOf(core)
-		reset = func() {
-			cpu.Reset()
-			cpu.Clk = isa.CycleCounter{}
-			cpu.PC = base
-		}
-		state = func() string {
-			return fmt.Sprint(cpu.R, cpu.PC, cpu.CR, cpu.Clk.Cycles())
-		}
-		return core, reset, state
-	}
-	b.Fatalf("peakRig: unknown platform %v", p)
-	return nil, nil, nil
-}
-
-// BenchmarkEngineSpeedup measures the basic-block translator every guest
-// runs on against the reference step interpreter, on both platforms: raw
-// throughput (instructions per second over the fault-free golden run), peak
-// throughput on a register-dense loop, and end-to-end code-campaign time,
-// per engine. Both engines' campaign outcome tables must match
-// byte-for-byte — the translator is observationally invisible even to
-// injections that corrupt already-translated code. Results go to
-// BENCH_exec.json.
-func BenchmarkEngineSpeedup(b *testing.B) {
-	type engRow struct {
-		StepsPerSec     float64 `json:"steps_per_sec"`
-		PeakStepsPerSec float64 `json:"peak_steps_per_sec"`
-		CampaignNS      int64   `json:"campaign_ns"`
-		Blocks          uint64  `json:"translated_blocks,omitempty"`
-		Hits            uint64  `json:"closure_cache_hits,omitempty"`
-		Invalidations   uint64  `json:"invalidations,omitempty"`
-		Fallbacks       uint64  `json:"fallbacks,omitempty"`
-	}
-	type row struct {
-		Steps                uint64            `json:"steps_per_run"`
-		PeakSteps            uint64            `json:"peak_steps_per_run"`
-		Engines              map[string]engRow `json:"engines"`
-		TranslateSpeedup     float64           `json:"translate_vs_interp_speedup"`
-		PeakTranslateSpeedup float64           `json:"peak_translate_vs_interp_speedup"`
-		CampaignSpeedup      float64           `json:"campaign_translate_vs_interp_speedup"`
-		Injections           int               `json:"injections"`
-		TablesIdentical      bool              `json:"tables_identical"`
-	}
-	engines := []platform.EngineKind{platform.EngineInterp, platform.EngineTranslate}
-	rows := map[string]row{}
-	for _, p := range kfi.Platforms {
-		p := p
-		b.Run(p.Short(), func(b *testing.B) {
-			sys := benchSystem(b, p)
-			m := sys.Sys.Machine
-			defer m.SetEngine(0)
-
-			// One traced run counts retired instructions — deterministic, so
-			// it serves every engine.
-			var steps uint64
-			m.Core().SetTrace(func(pc uint32, cost uint8) { steps++ })
-			if res := sys.Sys.Run(); res.Checksum != sys.Golden {
-				b.Fatal("traced golden run diverged")
-			}
-			m.Core().SetTrace(nil)
-
-			n := 150
-			if testing.Short() {
-				n = 40
-			}
-			seed := int64(1310) + int64(p)
-
-			// End-to-end code campaigns on every engine; the outcome tables
-			// are the correctness half of the claim.
-			er := map[string]engRow{}
-			campNS := map[platform.EngineKind]int64{}
-			var baseTable string
-			identical := true
-			for _, k := range engines {
-				if err := m.SetEngine(k); err != nil {
-					b.Fatal(err)
-				}
-				t0 := time.Now()
-				oc, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				campNS[k] = time.Since(t0).Nanoseconds()
-				table := oc.Counts.TableRow("code")
-				if baseTable == "" {
-					baseTable = table
-				} else if table != baseTable {
-					identical = false
-					b.Errorf("outcome tables diverge between engines:\n  %s: %s\n  %s: %s",
-						engines[0], baseTable, k, table)
-				}
-				er[k.String()] = engRow{
-					CampaignNS:    campNS[k],
-					Blocks:        oc.EngineStats.Translated,
-					Hits:          oc.EngineStats.Hits,
-					Invalidations: oc.EngineStats.Invalidations,
-					Fallbacks:     oc.EngineStats.Fallbacks,
-				}
-			}
-
-			// Raw throughput over complete fault-free runs, per engine.
-			tot := map[platform.EngineKind]time.Duration{}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, k := range engines {
-					if err := m.SetEngine(k); err != nil {
-						b.Fatal(err)
-					}
-					t0 := time.Now()
-					if res := sys.Sys.Run(); res.Checksum != sys.Golden {
-						b.Fatalf("%v golden run diverged", k)
-					}
-					tot[k] += time.Since(t0)
-				}
-			}
-			b.StopTimer()
-
-			for _, k := range engines {
-				e := er[k.String()]
-				e.StepsPerSec = float64(steps) * float64(b.N) / tot[k].Seconds()
-				er[k.String()] = e
-				b.ReportMetric(e.StepsPerSec, "steps/sec-"+k.String())
-			}
-			execSpeedup := float64(tot[platform.EngineInterp]) / float64(tot[platform.EngineTranslate])
-			campSpeedup := float64(campNS[platform.EngineInterp]) / float64(campNS[platform.EngineTranslate])
-			b.ReportMetric(execSpeedup, "translate-speedup")
-			b.ReportMetric(campSpeedup, "campaign-speedup")
-
-			// Peak throughput: a register-dense compute loop on a bare core,
-			// the translator's best case (the golden runs above are
-			// memory-bound, so they understate the dispatch win). The final
-			// architectural state and cycle count must agree across engines.
-			iters := uint32(400_000)
-			if testing.Short() {
-				iters = 100_000
-			}
-			core, reset, state := peakRig(b, p, iters)
-			desc, ok := platform.ByName(p.Short())
-			if !ok {
-				b.Fatalf("no descriptor for %v", p)
-			}
-			runToHalt := func(eng platform.ExecEngine) {
-				for {
-					ev := eng.RunUntil(^uint64(0))
-					if ev.Kind == isa.EvHalt {
-						return
-					}
-					if ev.Kind != isa.EvNone {
-						b.Fatalf("peak loop: unexpected event %v at cause %v", ev.Kind, ev.Cause)
-					}
-				}
-			}
-			// One traced interpreter run counts the loop's retired steps.
-			var peakSteps uint64
-			eng, err := desc.NewEngine(platform.EngineInterp, core)
-			if err != nil {
-				b.Fatal(err)
-			}
-			core.SetTrace(func(pc uint32, cost uint8) { peakSteps++ })
-			reset()
-			runToHalt(eng)
-			core.SetTrace(nil)
-			var peakState string
-			peakNS := map[platform.EngineKind]time.Duration{}
-			for _, k := range engines {
-				eng, err := desc.NewEngine(k, core)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reset()
-				t0 := time.Now()
-				runToHalt(eng)
-				peakNS[k] = time.Since(t0)
-				if peakState == "" {
-					peakState = state()
-				} else if s := state(); s != peakState {
-					identical = false
-					b.Errorf("peak loop final state diverges on %v:\n  %s\nvs\n  %s", k, peakState, s)
-				}
-				e := er[k.String()]
-				e.PeakStepsPerSec = float64(peakSteps) / peakNS[k].Seconds()
-				er[k.String()] = e
-			}
-			peakSpeedup := float64(peakNS[platform.EngineInterp]) / float64(peakNS[platform.EngineTranslate])
-			b.ReportMetric(peakSpeedup, "peak-translate-speedup")
-			b.Logf("\n%v engines (%d steps/run, %d peak steps, %d injections):\n"+
-				"  interp:    %8.2fM steps/s, peak %8.2fM, campaign %v\n"+
-				"  translate: %8.2fM steps/s, peak %8.2fM, campaign %v   (vs interp: exec %.2fx, peak %.2fx, campaign %.2fx)\n%s",
-				p, steps, peakSteps, n,
-				er["interp"].StepsPerSec/1e6, er["interp"].PeakStepsPerSec/1e6, time.Duration(campNS[platform.EngineInterp]),
-				er["translate"].StepsPerSec/1e6, er["translate"].PeakStepsPerSec/1e6, time.Duration(campNS[platform.EngineTranslate]),
-				execSpeedup, peakSpeedup, campSpeedup, baseTable)
-			rows[p.Short()] = row{
-				Steps:                steps,
-				PeakSteps:            peakSteps,
-				Engines:              er,
-				TranslateSpeedup:     execSpeedup,
-				PeakTranslateSpeedup: peakSpeedup,
-				CampaignSpeedup:      campSpeedup,
-				Injections:           n,
-				TablesIdentical:      identical,
-			}
-		})
-	}
-	writeBench(b, "BENCH_exec.json", rows)
-}
-
-// --- Static error-sensitivity analysis ------------------------------------
-
-// BenchmarkStaticSense measures the whole-target static analyzer's costs
-// and payoffs on both platforms: the one-time whole-target sweep time (all
-// four injection spaces — code, data, stack, sysreg), the fraction of each
-// space it proves inert, the cost of a sense-annotated code campaign, and
-// the incremental-campaign speedup from a warm per-section outcome cache.
-// The warm cached run must reproduce the cold run's table exactly. Results
-// go to BENCH_sense.json.
-func BenchmarkStaticSense(b *testing.B) {
-	type targetRow struct {
-		Sites    int     `json:"sites"`
-		InertPct float64 `json:"inert_pct"`
-	}
-	type row struct {
-		AnalysisNS      int64                `json:"analysis_ns"`
-		Sites           int                  `json:"sites"`
-		InertPct        float64              `json:"inert_pct"`
-		Targets         map[string]targetRow `json:"targets"`
-		CampaignFullNS  int64                `json:"campaign_full_ns"`
-		CacheColdNS     int64                `json:"cache_cold_ns"`
-		CacheWarmNS     int64                `json:"cache_warm_ns"`
-		CacheSpeedup    float64              `json:"cache_speedup"`
-		Injections      int                  `json:"injections"`
-		TablesIdentical bool                 `json:"tables_identical"`
-	}
-	rows := map[string]row{}
-	for _, p := range kfi.Platforms {
-		p := p
-		b.Run(p.Short(), func(b *testing.B) {
-			sys := benchSystem(b, p)
-
-			// One-time whole-target analysis cost and the size of the proof
-			// it produces across all four injection spaces.
-			var rep *staticsense.Report
-			var analysis time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				an, err := staticsense.NewAnalyzer(staticsense.Config{
-					Image:              sys.Sys.KernelImage,
-					Prog:               sys.Sys.Prog,
-					Proc:               sys.Sys.Src.Proc,
-					KStackSize:         sys.Sys.KStackSize,
-					HostReadGlobals:    kernel.HostReadGlobals(),
-					HostReadTaskFields: kernel.HostReadTaskFields(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep = an.Sweep()
-				analysis += time.Since(t0)
-			}
-			b.StopTimer()
-			analysisPer := analysis / time.Duration(b.N)
-			targets := map[string]targetRow{}
-			for _, tr := range rep.Targets {
-				frac := 0.0
-				if tr.Sites > 0 {
-					frac = float64(tr.Inert) / float64(tr.Sites)
-				}
-				targets[tr.Target] = targetRow{Sites: tr.Sites, InertPct: 100 * frac}
-			}
-
-			n := 150
-			if testing.Short() {
-				n = 40
-			}
-			seed := int64(2904) + int64(p)
-
-			// End-to-end sense-annotated code campaign.
-			t0 := time.Now()
-			if _, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil, kfi.ExecOptions{Sense: true}); err != nil {
-				b.Fatal(err)
-			}
-			campFull := time.Since(t0)
-
-			// Incremental campaign: a cold section-cached run fills the
-			// per-section cache, a warm re-run replays every row from it.
-			cacheDir := b.TempDir()
-			t0 = time.Now()
-			cold, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil,
-				kfi.ExecOptions{Sense: true, SectionCache: cacheDir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cacheCold := time.Since(t0)
-			t0 = time.Now()
-			warm, err := kfi.RunCampaignWith(sys, kfi.Code, n, seed, nil,
-				kfi.ExecOptions{Sense: true, SectionCache: cacheDir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cacheWarm := time.Since(t0)
-			if ct, wt := cold.Counts.TableRow("code"), warm.Counts.TableRow("code"); ct != wt {
-				b.Fatalf("outcome tables diverge between cold and warm cached campaigns:\n  cold: %s\n  warm: %s", ct, wt)
-			}
-
-			cacheSpeedup := float64(cacheCold) / float64(cacheWarm)
-			b.ReportMetric(float64(analysisPer.Nanoseconds()), "analysis-ns")
-			b.ReportMetric(100*rep.InertFrac(), "inert-%")
-			b.ReportMetric(cacheSpeedup, "cache-speedup")
-			b.Logf("\n%v static sense (%d sites over %d target classes, %d injections):\n"+
-				"  analysis:  %v for the whole target, %.1f%% of flips proven inert\n"+
-				"  campaign:  sense-annotated %v\n"+
-				"  cache:     cold %v, warm %v, speedup %.2fx\n%s",
-				p, rep.Sites, len(rep.Targets), n, analysisPer, 100*rep.InertFrac(),
-				campFull, cacheCold, cacheWarm, cacheSpeedup, cold.Counts.TableRow("code"))
-			rows[p.Short()] = row{
-				AnalysisNS:      analysisPer.Nanoseconds(),
-				Sites:           rep.Sites,
-				InertPct:        100 * rep.InertFrac(),
-				Targets:         targets,
-				CampaignFullNS:  campFull.Nanoseconds(),
-				CacheColdNS:     cacheCold.Nanoseconds(),
-				CacheWarmNS:     cacheWarm.Nanoseconds(),
-				CacheSpeedup:    cacheSpeedup,
-				Injections:      n,
-				TablesIdentical: true,
-			}
-		})
-	}
-	writeBench(b, "BENCH_sense.json", rows)
-}
-
-// --- Software-implemented fault detection (hardening) ---------------------
-
-// BenchmarkHarden runs the matched hardened-vs-unhardened study end to end on
-// both platforms: the same injection plan against a plain build and a build
-// carrying the kir.Harden duplication + control-flow-signature passes. It
-// reports the detection coverage the hardened kernel achieves over errors
-// that manifest, and the two overheads the detection costs — static (kernel
-// code bytes) and dynamic (fault-free golden-run cycles). Single-bit and
-// adjacent double-bit code campaigns both run; the unhardened side must
-// record zero detections. Results go to BENCH_harden.json.
-func BenchmarkHarden(b *testing.B) {
-	type row struct {
-		Opts           string  `json:"opts"`
-		CodeOverhead   float64 `json:"code_overhead"`
-		CycleOverhead  float64 `json:"cycle_overhead"`
-		Injected       int     `json:"injected_per_build"`
-		Detected       int     `json:"detected"`
-		CoveragePct    float64 `json:"coverage_pct"`
-		Burst2Detected int     `json:"burst2_detected"`
-	}
-	rows := map[string]row{}
-	opts := kfi.HardenOptions{Dup: true, CFSig: true}
-	for _, p := range kfi.Platforms {
-		p := p
-		b.Run(p.Short(), func(b *testing.B) {
-			n := 120
-			if testing.Short() {
-				n = 40
-			}
-			seed := int64(8800) + int64(p)
-			specs := []kfi.HardenSpec{
-				{Campaign: kfi.Code, N: n, Seed: seed},
-				{Campaign: kfi.Code, N: n, Seed: seed, Burst: 2},
-				{Campaign: kfi.Stack, N: n / 2, Seed: seed + 1},
-				{Campaign: kfi.Data, N: n / 2, Seed: seed + 2},
-			}
-			var study *kfi.HardenStudy
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				study, err = kfi.RunHardenStudy(p, 1, opts, specs, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-
-			var plain, hard, burst2 []kfi.Result
-			for _, r := range study.Rows {
-				plain = append(plain, r.Plain...)
-				hard = append(hard, r.Hard...)
-				if r.Spec.Burst == 2 {
-					burst2 = append(burst2, r.Hard...)
-				}
-			}
-			pc, hc := kfi.Summarize(plain), kfi.Summarize(hard)
-			if pc.Detected != 0 {
-				b.Fatalf("unhardened build recorded %d detections", pc.Detected)
-			}
-			b.ReportMetric(hc.DetectionCoverage(), "coverage-%")
-			b.ReportMetric(study.CodeOverhead(), "code-x")
-			b.ReportMetric(study.CycleOverhead(), "cycles-x")
-			b.Logf("\n%v hardened (%v) vs unhardened, %d injections per build:\n%s\n%s\n%s\n"+
-				"  overhead: code x%.2f (%d -> %d bytes), fault-free run x%.2f (%d -> %d cycles)",
-				p, opts, len(hard),
-				stats.CoverageHeader(),
-				hc.CoverageRow("hardened"),
-				pc.CoverageRow("unhardened"),
-				study.CodeOverhead(), study.CodeBytes, study.HardCodeBytes,
-				study.CycleOverhead(), study.GoldenCycles, study.HardGoldenCycles)
-			rows[p.Short()] = row{
-				Opts:           opts.String(),
-				CodeOverhead:   study.CodeOverhead(),
-				CycleOverhead:  study.CycleOverhead(),
-				Injected:       len(hard),
-				Detected:       hc.Detected,
-				CoveragePct:    hc.DetectionCoverage(),
-				Burst2Detected: kfi.Summarize(burst2).Detected,
-			}
-		})
-	}
-	writeBench(b, "BENCH_harden.json", rows)
 }

@@ -33,32 +33,43 @@ func hardenStudy(t *testing.T, p isa.Platform) *HardenStudy {
 }
 
 func TestHardenStudyOverheads(t *testing.T) {
-	s := hardenStudy(t, isa.RISC)
-	if s.CodeOverhead() <= 1.0 {
-		t.Errorf("code overhead %.2f, want > 1 (hardened image must be larger)", s.CodeOverhead())
+	for _, p := range []isa.Platform{isa.CISC, isa.RISC} {
+		t.Run(p.Short(), func(t *testing.T) {
+			s := hardenStudy(t, p)
+			if s.CodeOverhead() <= 1.0 {
+				t.Errorf("code overhead %.2f, want > 1 (hardened image must be larger)", s.CodeOverhead())
+			}
+			if s.CycleOverhead() <= 1.0 {
+				t.Errorf("cycle overhead %.2f, want > 1 (hardened run must be slower)", s.CycleOverhead())
+			}
+			t.Logf("%v overheads: code x%.2f, cycles x%.2f", p, s.CodeOverhead(), s.CycleOverhead())
+		})
 	}
-	if s.CycleOverhead() <= 1.0 {
-		t.Errorf("cycle overhead %.2f, want > 1 (hardened run must be slower)", s.CycleOverhead())
-	}
-	t.Logf("RISC overheads: code x%.2f, cycles x%.2f", s.CodeOverhead(), s.CycleOverhead())
 }
 
+// TestHardenStudyDetectsErrors checks both sides of the detection claim on
+// both platforms: the unhardened build never reports a detection, and the
+// fully hardened build detects at least one injected error.
 func TestHardenStudyDetectsErrors(t *testing.T) {
-	s := hardenStudy(t, isa.RISC)
-	detected := 0
-	for _, row := range s.Rows {
-		for _, r := range row.Plain {
-			if r.Outcome == inject.ODetected {
-				t.Fatalf("unhardened build reported a detection: %+v", r)
+	for _, p := range []isa.Platform{isa.CISC, isa.RISC} {
+		t.Run(p.Short(), func(t *testing.T) {
+			s := hardenStudy(t, p)
+			detected := 0
+			for _, row := range s.Rows {
+				for _, r := range row.Plain {
+					if r.Outcome == inject.ODetected {
+						t.Fatalf("unhardened build reported a detection: %+v", r)
+					}
+				}
+				hc := stats.Summarize(row.Hard)
+				detected += hc.Detected
+				t.Logf("%v burst=%d: hardened %s", row.Spec.Campaign, row.Spec.Burst,
+					hc.CoverageRow(row.Spec.Campaign.String()))
 			}
-		}
-		hc := stats.Summarize(row.Hard)
-		detected += hc.Detected
-		t.Logf("%v burst=%d: hardened %s", row.Spec.Campaign, row.Spec.Burst,
-			hc.CoverageRow(row.Spec.Campaign.String()))
-	}
-	if detected == 0 {
-		t.Error("fully hardened kernel detected none of the injected errors across all campaigns")
+			if detected == 0 {
+				t.Error("fully hardened kernel detected none of the injected errors across all campaigns")
+			}
+		})
 	}
 }
 

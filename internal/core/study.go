@@ -263,18 +263,12 @@ func openJournal(cfg Config, p isa.Platform, golden uint32, spec campaign.Spec) 
 	return exec, nil
 }
 
-// RunCampaignOn executes a single campaign on a pre-built system (the
-// benchmark harness path, which reuses systems across campaigns).
+// RunCampaignOn executes a single campaign on a pre-built system with the
+// default execution options, reusing the system across campaigns.
 func RunCampaignOn(system *System, camp inject.Campaign, n int, seed int64,
 	progress func(done, total int)) (*CampaignOutcome, error) {
-	return RunCampaignOnWith(system, camp, n, seed, progress, campaign.ExecOptions{})
-}
-
-// RunCampaignOnWith is RunCampaignOn with explicit execution options.
-func RunCampaignOnWith(system *System, camp inject.Campaign, n int, seed int64,
-	progress func(done, total int), exec campaign.ExecOptions) (*CampaignOutcome, error) {
-	res, err := campaign.RunWith(system.Sys, system.Golden, system.Profile,
-		campaign.Spec{Campaign: camp, N: n, Seed: seed}, progress, exec)
+	res, err := campaign.Run(system.Sys, system.Golden, system.Profile,
+		campaign.Spec{Campaign: camp, N: n, Seed: seed}, progress)
 	if err != nil {
 		return nil, err
 	}

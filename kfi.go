@@ -31,7 +31,6 @@ import (
 	"kfi/internal/kernel"
 	"kfi/internal/kir"
 	"kfi/internal/machine"
-	"kfi/internal/platform"
 	"kfi/internal/stats"
 	"kfi/internal/tracediff"
 )
@@ -146,17 +145,6 @@ func RunCampaign(sys *System, camp Campaign, n int, seed int64, progress func(do
 // Sense and SectionCache enable the static pre-pass and the per-section
 // outcome cache; MaxAttempts sets the per-injection supervision policy.
 type ExecOptions = campaign.ExecOptions
-
-// EngineStats are the observability counters of the basic-block translator
-// every guest runs on (blocks translated, closure-cache hits,
-// write-generation invalidations, interpreter fallbacks).
-type EngineStats = platform.EngineStats
-
-// RunCampaignWith is RunCampaign with explicit execution options.
-func RunCampaignWith(sys *System, camp Campaign, n int, seed int64,
-	progress func(done, total int), exec ExecOptions) (*CampaignOutcome, error) {
-	return core.RunCampaignOnWith(sys, camp, n, seed, progress, exec)
-}
 
 // Study configuration and results.
 type (

@@ -1,14 +1,15 @@
 #!/bin/sh
-# verify.sh — the repo's tier-1 gate plus the snapshot-subsystem smoke run.
+# verify.sh — the repo's tier-1 gate plus pipeline and benchmark smoke runs.
 #
 #   sh scripts/verify.sh         (or: make verify)
 #
 # Runs build, vet (of the root module and the nested campaignbench/ module),
-# the full test suite, and a campaign -> journal -> report pipeline smoke in
-# a temporary directory, then one reduced-size (-short) iteration of each
-# BENCH benchmark as a smoke test. -short runs never write the BENCH_*.json
-# files, so the script leaves the working tree clean; regenerate those with
-# the make bench targets.
+# lint, the full test suite, the race-detector pass over the concurrent
+# layer, a campaign -> journal -> report pipeline smoke in a temporary
+# directory, and one iteration of every paper benchmark in bench_test.go
+# (Table/Figure/Ablation/Propagation) as a smoke test. Nothing it runs
+# writes into the tree, so it leaves the working tree clean. Speed is
+# measured by campaignbench (campaignbench/README.md), not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,19 +45,7 @@ for row in p4/Stack g4/Stack; do
 	grep -q "^$row " "$tmp/report.txt" || { echo "verify: kfi-report printed no $row row" >&2; exit 1; }
 done
 
-echo "== snapshot benchmark smoke (-short -bench=Snapshot -benchtime=1x)"
-go test . -short -run '^$' -bench Snapshot -benchtime 1x
-
-echo "== execution-engine benchmark smoke (-short -bench=EngineSpeedup -benchtime=1x)"
-go test . -short -run '^$' -bench EngineSpeedup -benchtime 1x
-
-echo "== engine-equivalence smoke (tables + journals byte-identical across engines)"
-go test ./internal/campaign/ -run 'TestEngineEquivalence' -count 1
-
-echo "== static-sense benchmark smoke (-short -bench=StaticSense -benchtime=1x)"
-go test . -short -run '^$' -bench StaticSense -benchtime 1x
-
-echo "== hardened mini-campaign smoke (-short -bench=BenchmarkHarden -benchtime=1x)"
-go test . -short -run '^$' -bench BenchmarkHarden -benchtime 1x
+echo "== paper benchmark smoke (-short -bench=. -benchtime=1x: every Table/Figure/Ablation/Propagation benchmark once)"
+go test . -short -run '^$' -bench . -benchtime 1x
 
 echo "verify: OK"
