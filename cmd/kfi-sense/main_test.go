@@ -75,6 +75,9 @@ func TestSenseJSON(t *testing.T) {
 		t.Fatalf("implausible report: %+v", reports)
 	}
 	r := reports[0]
+	if r.Platform.Short() != "g4" || !strings.Contains(out.String(), `"platform": "g4"`) {
+		t.Errorf("report names platform %v; want g4 in the JSON", r.Platform)
+	}
 	if len(r.Targets) != 4 {
 		t.Fatalf("whole-target JSON has %d target classes, want 4", len(r.Targets))
 	}

@@ -270,6 +270,10 @@ type Result struct {
 	// served by the section cache count in neither. Unlike wall time, both
 	// are exact: a fixed spec and seed always give the same two numbers.
 	Executed, Synthesized int
+	// GoldenTraces counts the golden runs this campaign traced: 1 when its
+	// plan traced the system's golden run, 0 when it needed none or an
+	// earlier campaign on the same sealed system had traced it already.
+	GoldenTraces int
 }
 
 // Run executes a campaign: golden is the fault-free checksum; progress (may

@@ -43,9 +43,9 @@ func (nr *NodeRunner) Golden() uint32 { return nr.guest.Golden }
 // Profile returns the measured kernel-usage profile.
 func (nr *NodeRunner) Profile() *Profile { return nr.guest.Profile }
 
-// Plan builds the spec's plan with default options. The golden-run trace it
-// may require (code campaigns) runs once; every RunIndices call against the
-// returned plan reuses it.
+// Plan builds the spec's plan with default options. The traced golden run
+// it may need (code and data campaigns) is the system's: the first plan on
+// the node traces it, every later plan and every RunIndices call reuses it.
 func (nr *NodeRunner) Plan(spec Spec) (*Plan, error) {
 	return NewPlan(nr.guest.Sys, nr.guest.Golden, nr.guest.Profile, spec, nil, ExecOptions{})
 }

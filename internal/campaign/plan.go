@@ -1,12 +1,10 @@
 package campaign
 
 import (
-	"fmt"
 	"sort"
 
 	"kfi/internal/inject"
 	"kfi/internal/kernel"
-	"kfi/internal/machine"
 )
 
 // Plan is a campaign's deterministic execution plan, built once by NewPlan
@@ -38,10 +36,13 @@ type Plan struct {
 	// synthesized counts the Pre rows in ready (those not resumed or
 	// served by the section cache).
 	synthesized int
-	// golden is the traced golden run (nil when nothing needed it).
-	golden *goldenTrace
-	sense  *sensePass
-	secs   *sectionSet
+	// golden is the system's shared, read-only traced golden run (nil when
+	// nothing needed it); goldenTraces is 1 when building this plan traced
+	// it and 0 when the system already held it.
+	golden       *kernel.GoldenTrace
+	goldenTraces int
+	sense        *sensePass
+	secs         *sectionSet
 }
 
 // readyRow is one row the plan completes without execution.
@@ -67,9 +68,11 @@ func Targets(sys *kernel.System, profile *Profile, spec Spec) ([]inject.Target, 
 // NewPlan builds the plan for spec on sys. targets, when non-nil, replaces
 // target generation (the harden study runs matched lists). The steps, in
 // order: generate targets, run the static sense pass (opts.Sense), sort
-// targets by trigger cycle — tracing the golden run when code targets or
-// the section cache need it — synthesize unreached rows, load section-cache
-// hits (opts.SectionCache), and skip the rows opts.Completed already holds.
+// targets by trigger cycle — taking the system's traced golden run when
+// code or data targets or the section cache need it, which traces it only
+// if no earlier plan on the sealed image did — synthesize unreached rows,
+// load section-cache hits (opts.SectionCache), and skip the rows
+// opts.Completed already holds.
 func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 	targets []inject.Target, opts ExecOptions) (*Plan, error) {
 	if targets == nil {
@@ -122,8 +125,10 @@ func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 // at the first execution of its address, a data target at the first touch
 // of its word. A target the golden run never executes or touches becomes a
 // synthesized not-activated row. Any other target injects at boot (trigger
-// 0). The golden run is traced when code or data targets need it or trace
-// is set; the word trace is recorded only when data targets need it.
+// 0). When code or data targets need the traced golden run, or trace is
+// set, the plan takes the system's (System.GoldenTrace): the system traces
+// it once per sealed image, word trace included, and every later plan
+// reads the same trace.
 //
 // Forking a data row at its first touch is exact. Up to that cycle nothing
 // has read or written the word, so a from-boot run with the bit flipped is
@@ -131,15 +136,18 @@ func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 // same state. RunFrom then arms the watchpoint as it would at boot, and the
 // access that fires it is the same one.
 func (p *Plan) sortByTrigger(sys *kernel.System, trace bool) error {
-	words := false
 	for _, t := range p.Targets {
-		trace = trace || t.Campaign == inject.CampCode
-		words = words || (t.Campaign == inject.CampData && t.Delay == 0)
+		trace = trace || t.Campaign == inject.CampCode ||
+			(t.Campaign == inject.CampData && t.Delay == 0)
 	}
-	if trace || words {
-		var err error
-		if p.golden, err = traceGolden(sys, words); err != nil {
+	if trace {
+		tr, traced, err := sys.GoldenTrace()
+		if err != nil {
 			return err
+		}
+		p.golden = tr
+		if traced {
+			p.goldenTraces = 1
 		}
 	}
 	p.order = make([]trigOrder, 0, len(p.Targets))
@@ -152,12 +160,12 @@ func (p *Plan) sortByTrigger(sys *kernel.System, trace bool) error {
 		case t.Delay > 0:
 			trig = t.Delay
 		case t.Campaign == inject.CampCode:
-			trig, reached = p.golden.firstHit[t.Addr]
+			trig, reached = p.golden.FirstHit(t.Addr)
 		case t.Campaign == inject.CampData:
-			trig, reached = p.golden.firstTouch[t.Addr&^3]
+			trig, reached = p.golden.FirstTouch(t.Addr)
 		}
 		if !reached {
-			p.Pre[i] = notActivatedResult(t, p.golden.cycles, p.golden.checksum)
+			p.Pre[i] = notActivatedResult(t, p.golden.Cycles(), p.golden.Checksum())
 			continue
 		}
 		p.order = append(p.order, trigOrder{trig, i})
@@ -192,72 +200,6 @@ func (p *Plan) execute(ex *executor, want func(idx int) bool, out []inject.Resul
 		}
 	}
 	return ex.run(p, order, out, func(idx int) error { return done(idx, true) })
-}
-
-// goldenTrace is one traced golden run: the first cycle at which each PC is
-// about to execute, optionally the first-touch cycle of each data word, and
-// the run's length and checksum.
-type goldenTrace struct {
-	firstHit map[uint32]uint64
-	// firstTouch maps every 4-byte word (addr &^ 3, the word
-	// inject.RunFrom's data watchpoint covers) that the golden run reads or
-	// writes to the start cycle of the last instruction completed before
-	// the first such access. The accesses are the guest's loads and stores
-	// and the host glue's raw reads and writes. A snapshot chain pausing for
-	// that trigger stops before the access. nil unless data targets asked
-	// for it.
-	firstTouch map[uint32]uint64
-	cycles     uint64
-	checksum   uint32
-}
-
-// traceGolden runs the benchmark once with tracing and records, per PC, the
-// cycle count just before its first execution — the exact cycle at which a
-// code-injection breakpoint on that address would fire. With words set it
-// also records each data word's first touch (goldenTrace.firstTouch).
-func traceGolden(sys *kernel.System, words bool) (*goldenTrace, error) {
-	m := sys.Machine
-	m.Reboot()
-	clk := m.Core().Clock()
-	tr := &goldenTrace{firstHit: make(map[uint32]uint64, 1<<14)}
-	var last uint64 // start cycle of the last instruction completed
-	m.Core().SetTrace(func(pc uint32, cost uint8) {
-		// Trace reports after the clock advanced past the instruction.
-		last = clk.Cycles() - uint64(cost)
-		if _, ok := tr.firstHit[pc]; !ok {
-			tr.firstHit[pc] = last
-		}
-	})
-	if words {
-		tr.firstTouch = make(map[uint32]uint64, 1<<12)
-		seen := make([]uint64, (m.Mem.Size()/4+63)/64)
-		m.Core().SetAccessTrace(func(addr, size uint32) {
-			touchWords(tr.firstTouch, seen, addr, size, last)
-		})
-	}
-	res := m.Run()
-	m.Core().SetTrace(nil)
-	m.Core().SetAccessTrace(nil)
-	if res.Outcome != machine.OutCompleted {
-		return nil, fmt.Errorf("campaign: traced golden run did not complete: %v", res.Outcome)
-	}
-	tr.cycles, tr.checksum = res.Cycles, res.Checksum
-	return tr, nil
-}
-
-// touchWords records cyc as the first touch of every word the access
-// [addr, addr+size) overlaps that has none yet. These are the words whose
-// 4-byte data watchpoint isa.DebugUnit.HitData reports for the access, so
-// an unaligned access spanning two words touches both. seen holds one bit
-// per word of guest memory, set once the word is in first, which keeps the
-// map off the path of every access after a word's first.
-func touchWords(first map[uint32]uint64, seen []uint64, addr, size uint32, cyc uint64) {
-	for w := addr &^ 3; w < addr+size; w += 4 {
-		if i := w / 4; seen[i/64]&(1<<(i%64)) == 0 {
-			seen[i/64] |= 1 << (i % 64)
-			first[w] = cyc
-		}
-	}
 }
 
 // notActivatedResult mirrors RunOne's early return for an error that was

@@ -77,7 +77,7 @@ type sectionSet struct {
 // openSectionCache decomposes the target list into sections and computes
 // their content keys. Returns nil (inert) when caching is off.
 func openSectionCache(sys *kernel.System, golden uint32, spec Spec,
-	targets []inject.Target, tr *goldenTrace, opts ExecOptions) (*sectionSet, error) {
+	targets []inject.Target, tr *kernel.GoldenTrace, opts ExecOptions) (*sectionSet, error) {
 	if opts.SectionCache == "" {
 		return nil, nil
 	}
@@ -120,7 +120,7 @@ type sectionHasher struct {
 }
 
 func newSectionHasher(sys *kernel.System, golden uint32, spec Spec,
-	tr *goldenTrace, opts ExecOptions) *sectionHasher {
+	tr *kernel.GoldenTrace, opts ExecOptions) *sectionHasher {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nplatform %v\ncampaign %d n %d seed %d burst %d golden %08x\n",
 		seccacheMagic, sys.Platform, spec.Campaign, spec.N, spec.Seed, spec.Burst, golden)
@@ -128,28 +128,13 @@ func newSectionHasher(sys *kernel.System, golden uint32, spec Spec,
 	// which had a pruning option, valid.
 	fmt.Fprintf(h, "sense %v prune false\n", opts.Sense)
 	fmt.Fprintf(h, "trace cycles %d checksum %08x hits %s\n",
-		tr.cycles, tr.checksum, traceFingerprint(tr))
+		tr.Cycles(), tr.Checksum(), tr.HitFingerprint())
 	return &sectionHasher{prefix: h.Sum(nil)}
-}
-
-// traceFingerprint hashes the golden run's full first-hit trace in a
-// deterministic (PC-sorted) order.
-func traceFingerprint(tr *goldenTrace) string {
-	pcs := make([]uint32, 0, len(tr.firstHit))
-	for pc := range tr.firstHit {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(a, b int) bool { return pcs[a] < pcs[b] })
-	h := sha256.New()
-	for _, pc := range pcs {
-		fmt.Fprintf(h, "%08x %d\n", pc, tr.firstHit[pc])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // sectionKey extends the campaign prefix with the section's name, compiled
 // bytes, and exact target rows (triggers included).
-func (sh *sectionHasher) sectionKey(sys *kernel.System, tr *goldenTrace,
+func (sh *sectionHasher) sectionKey(sys *kernel.System, tr *kernel.GoldenTrace,
 	name string, idxs []int, targets []inject.Target) (string, error) {
 	h := sha256.New()
 	h.Write(sh.prefix)
@@ -165,10 +150,7 @@ func (sh *sectionHasher) sectionKey(sys *kernel.System, tr *goldenTrace,
 		}
 		trig, reached := uint64(0), false
 		if t.Campaign == inject.CampCode {
-			trig, reached = tr.firstHit[t.Addr], true
-			if _, ok := tr.firstHit[t.Addr]; !ok {
-				reached = false
-			}
+			trig, reached = tr.FirstHit(t.Addr)
 		}
 		fmt.Fprintf(h, "target %d trig %d reached %v %s\n", idx, trig, reached, tj)
 	}

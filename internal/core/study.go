@@ -143,8 +143,10 @@ type CampaignOutcome struct {
 	// EngineStats are the translator's observability counters
 	// (internal/platform.EngineStats).
 	EngineStats platform.EngineStats
-	// Executed and Synthesized are campaign.Result's row counters.
+	// Executed and Synthesized are campaign.Result's row counters, and
+	// GoldenTraces its count of traced golden runs.
 	Executed, Synthesized int
+	GoldenTraces          int
 }
 
 // PlatformResult holds one platform's campaigns.
@@ -277,14 +279,15 @@ func RunCampaignOn(system *System, camp inject.Campaign, n int, seed int64,
 
 func summarize(res *campaign.Result) *CampaignOutcome {
 	return &CampaignOutcome{
-		Spec:        res.Spec,
-		Counts:      stats.Summarize(res.Results),
-		Causes:      stats.CrashCauses(res.Results),
-		Latency:     stats.Latencies(res.Results),
-		Results:     res.Results,
-		EngineStats: res.EngineStats,
-		Executed:    res.Executed,
-		Synthesized: res.Synthesized,
+		Spec:         res.Spec,
+		Counts:       stats.Summarize(res.Results),
+		Causes:       stats.CrashCauses(res.Results),
+		Latency:      stats.Latencies(res.Results),
+		Results:      res.Results,
+		EngineStats:  res.EngineStats,
+		Executed:     res.Executed,
+		Synthesized:  res.Synthesized,
+		GoldenTraces: res.GoldenTraces,
 	}
 }
 

@@ -58,6 +58,9 @@ type System struct {
 	Procs      []ProcSpec // index 0 is the idle process
 	KStackSize uint32
 	Glue       Glue
+
+	// golden memoizes the traced golden run (see GoldenTrace).
+	golden goldenMemo
 }
 
 // KernelBases are the kernel image load addresses.

@@ -111,6 +111,10 @@ type Memory struct {
 	// caches in the execution engines depend on them for invalidation.
 	gens []uint64
 
+	// sealGen counts Seal calls, so a result derived from one sealed image
+	// can tell when a later Seal replaced it.
+	sealGen uint64
+
 	// rawObs, when non-nil, observes every in-range RawRead and RawWrite
 	// (see SetRawObserver).
 	rawObs func(addr, size uint32)
@@ -343,7 +347,14 @@ func (m *Memory) FlipBit(addr uint32, bit uint) byte {
 
 // Seal records the current RAM contents as the pristine boot image used by
 // Reboot. The machine calls it once after loading the kernel and workload.
-func (m *Memory) Seal() { m.pristine = m.CopyImage() }
+func (m *Memory) Seal() {
+	m.pristine = m.CopyImage()
+	m.sealGen++
+}
+
+// SealGen returns the number of Seal calls so far. It changes exactly when
+// Seal replaces the pristine image Reboot restores.
+func (m *Memory) SealGen() uint64 { return m.sealGen }
 
 // Reboot restores the pristine boot image recorded by Seal. Page flags and
 // regions are retained (they are part of the boot configuration). The whole

@@ -17,6 +17,7 @@
 package staticsense
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -309,7 +310,8 @@ func (t *TargetReport) InertFrac() float64 {
 	return float64(t.Inert) / float64(t.Sites)
 }
 
-// Report tallies a whole-image sweep of every candidate flip.
+// Report tallies a whole-image sweep of every candidate flip. Its JSON
+// form names the platform by its short name (p4, g4); see MarshalJSON.
 type Report struct {
 	Platform isa.Platform `json:"platform"`
 	// Sites is the size of the swept injection space: one per (instruction,
@@ -327,6 +329,38 @@ type Report struct {
 	// code, data, stack, sysreg. Only whole-target analyzers (NewAnalyzer)
 	// emit it; code-only reports keep their original shape.
 	Targets []*TargetReport `json:"targets,omitempty"`
+}
+
+// reportFields is Report without its JSON methods.
+type reportFields Report
+
+// reportJSON is Report's wire form. Its Platform, the shallower field,
+// replaces the embedded numeric one.
+type reportJSON struct {
+	Platform string `json:"platform"`
+	*reportFields
+}
+
+// MarshalJSON writes the report with the platform's short name (p4, g4),
+// the name the flags and the control plane's JSON use, instead of the
+// isa.Platform number.
+func (r Report) MarshalJSON() ([]byte, error) {
+	return json.Marshal(reportJSON{Platform: r.Platform.Short(), reportFields: (*reportFields)(&r)})
+}
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (r *Report) UnmarshalJSON(b []byte) error {
+	w := reportJSON{reportFields: (*reportFields)(r)}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	for _, p := range isa.Platforms() {
+		if p.Short() == w.Platform {
+			r.Platform = p
+			return nil
+		}
+	}
+	return fmt.Errorf("staticsense: report for unknown platform %q", w.Platform)
 }
 
 // InertFrac is the fraction of the injection space predicted inert.

@@ -1,6 +1,9 @@
 package staticsense
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"kfi/internal/cc"
@@ -233,5 +236,33 @@ func TestSweepLabelsHardenedImages(t *testing.T) {
 	}
 	if r.Sites <= plain.Sites {
 		t.Errorf("hardened sweep has %d sites, want more than the unhardened %d", r.Sites, plain.Sites)
+	}
+}
+
+// TestReportJSONPlatformName: a report's JSON names its platform p4 or g4,
+// not by isa.Platform's number, and reads back to the same report.
+func TestReportJSONPlatformName(t *testing.T) {
+	for _, p := range []isa.Platform{isa.CISC, isa.RISC} {
+		r := &Report{Platform: p, Sites: 3, ByClass: map[string]int{"inert-encoding": 3}, Inert: 3,
+			Targets: []*TargetReport{{Target: "code", Sites: 3, ByClass: map[string]int{"inert-encoding": 3}, Inert: 3}}}
+		b, err := json.Marshal([]*Report{r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := `[{"platform":"` + p.Short() + `","sites":3,`
+		if !strings.HasPrefix(string(b), want) {
+			t.Errorf("%v: JSON %s, want it to start %s", p, b, want)
+		}
+		var back []*Report
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != 1 || !reflect.DeepEqual(back[0], r) {
+			t.Errorf("%v: round trip gave %+v, want %+v", p, back, r)
+		}
+	}
+	var r Report
+	if err := json.Unmarshal([]byte(`{"platform":"vax","sites":1}`), &r); err == nil {
+		t.Error("a report for an unknown platform decoded")
 	}
 }
