@@ -55,7 +55,7 @@ func run(args []string) error {
 		quiet        = fs.Bool("quiet", false, "suppress progress output")
 		burst        = fs.Int("burst", 1, "bits flipped per injection (1 = the paper's single-bit model)")
 		crashAddr    = fs.String("crashnet", "", "UDP address of a kfi-monitor collecting crash packets")
-		verbose      = fs.Bool("v", false, "print each campaign's executed and synthesized row counts, golden traces and translator counters")
+		verbose      = fs.Bool("v", false, "print each campaign's executed and synthesized row counts and translator counters")
 		sense        = fs.Bool("sense", false, "run the static error-sensitivity pre-pass and print the predicted-vs-observed confusion matrix")
 		secCache     = fs.String("section-cache", "", "per-section outcome cache directory: re-runs replay unchanged sections' results and re-inject only changed ones")
 		journalDir   = fs.String("journal", "", "durably journal completed outcomes to this directory (one file per platform+campaign)")
@@ -216,8 +216,8 @@ func run(args []string) error {
 			for _, c := range campaigns {
 				if oc := pr.Outcomes[c]; oc != nil {
 					s := oc.EngineStats
-					fmt.Printf("%v %v — rows executed=%d synthesized=%d, golden traces=%d, translator blocks=%d hits=%d invalidations=%d fallbacks=%d\n",
-						p, c, oc.Executed, oc.Synthesized, oc.GoldenTraces, s.Translated, s.Hits, s.Invalidations, s.Fallbacks)
+					fmt.Printf("%v %v — rows executed=%d synthesized=%d, translator blocks=%d hits=%d invalidations=%d fallbacks=%d\n",
+						p, c, oc.Executed, oc.Synthesized, s.Translated, s.Hits, s.Invalidations, s.Fallbacks)
 				}
 			}
 			fmt.Println()

@@ -205,7 +205,7 @@ func TestVerboseRowCounts(t *testing.T) {
 	jdir := filepath.Join(t.TempDir(), "journal")
 	args := []string{"-platform", "p4", "-campaign", "data", "-paper-fraction", "0.002",
 		"-quiet", "-figures=false", "-v", "-journal", jdir}
-	counts := regexp.MustCompile(`P4-class \(CISC\) Data — rows executed=(\d+) synthesized=(\d+), golden traces=\d+, translator blocks=\d+`)
+	counts := regexp.MustCompile(`P4-class \(CISC\) Data — rows executed=(\d+) synthesized=(\d+), translator blocks=\d+`)
 	m := counts.FindStringSubmatch(captureStdout(t, func() error { return run(args) }))
 	if m == nil {
 		t.Fatal("-v printed no row counts for p4 Data")
@@ -218,29 +218,6 @@ func TestVerboseRowCounts(t *testing.T) {
 	m = counts.FindStringSubmatch(captureStdout(t, func() error { return run(append(args, "-resume")) }))
 	if m == nil || m[1] != "0" || m[2] != "0" {
 		t.Errorf("resumed run counts %q, want executed=0 synthesized=0", m)
-	}
-}
-
-// TestVerboseGoldenTraces: -v prints how many golden runs each campaign
-// traced. With a section cache every campaign needs the trace, and the four
-// campaigns on one platform share its system, so the first traces it and
-// the other three reuse it.
-func TestVerboseGoldenTraces(t *testing.T) {
-	args := []string{"-platform", "p4", "-campaign", "all", "-section-cache", t.TempDir(),
-		"-n", "8", "-quiet", "-figures=false", "-v"}
-	traces := regexp.MustCompile(`P4-class \(CISC\) ([A-Za-z ]+) — rows executed=\d+ synthesized=\d+, golden traces=(\d+),`)
-	got := traces.FindAllStringSubmatch(captureStdout(t, func() error { return run(args) }), -1)
-	if len(got) != 4 {
-		t.Fatalf("-v printed golden traces for %d campaigns, want 4: %q", len(got), got)
-	}
-	for i, m := range got {
-		want := "0"
-		if i == 0 {
-			want = "1"
-		}
-		if m[2] != want {
-			t.Errorf("%s: golden traces=%s, want %s", m[1], m[2], want)
-		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"math/rand"
 	"sort"
 
+	"kfi/internal/cc"
 	"kfi/internal/inject"
 	"kfi/internal/isa"
 	"kfi/internal/kernel"
-	"kfi/internal/machine"
 	"kfi/internal/mem"
 	"kfi/internal/platform"
 )
@@ -43,27 +43,32 @@ type Profile struct {
 	Total uint64
 }
 
-// ProfileKernel runs the benchmark once with instruction tracing and
-// attributes cycles to kernel functions.
+// ProfileKernel is the kernel profile of the system's golden run
+// (System.GoldenTrace), tracing it only if no earlier call on the sealed
+// image did. Each call returns a fresh Profile.
 func ProfileKernel(sys *kernel.System) (*Profile, error) {
-	im := sys.KernelImage
+	tr, err := sys.GoldenTrace()
+	if err != nil {
+		return nil, err
+	}
+	return profileOf(sys.KernelImage, tr.TextCycles), nil
+}
+
+// profileOf attributes the cycles retired at each kernel-text PC (cycles,
+// GoldenTrace.TextCycles) to the kernel function holding it.
+func profileOf(im *cc.Image, cycles func(pc uint32) uint64) *Profile {
 	counts := make([]uint64, len(im.Funcs))
 	lo := im.CodeBase
 	hi := im.CodeBase + uint32(len(im.Code))
-	sys.Machine.Reboot()
-	sys.Machine.Core().SetTrace(func(pc uint32, cost uint8) {
-		if pc < lo || pc >= hi {
-			return
+	for pc := lo; pc < hi; pc++ {
+		c := cycles(pc)
+		if c == 0 {
+			continue
 		}
 		i := sort.Search(len(im.Funcs), func(i int) bool { return im.Funcs[i].End > pc })
 		if i < len(im.Funcs) && pc >= im.Funcs[i].Start {
-			counts[i] += uint64(cost)
+			counts[i] += c
 		}
-	})
-	res := sys.Machine.Run()
-	sys.Machine.Core().SetTrace(nil)
-	if res.Outcome != machine.OutCompleted {
-		return nil, fmt.Errorf("campaign: profiling run did not complete: %v", res.Outcome)
 	}
 	p := &Profile{}
 	for i, fr := range im.Funcs {
@@ -79,7 +84,7 @@ func ProfileKernel(sys *kernel.System) (*Profile, error) {
 		}
 		return p.Funcs[i].Name < p.Funcs[j].Name
 	})
-	return p, nil
+	return p
 }
 
 // Hot returns the most-used functions covering at least the given fraction
@@ -270,10 +275,6 @@ type Result struct {
 	// served by the section cache count in neither. Unlike wall time, both
 	// are exact: a fixed spec and seed always give the same two numbers.
 	Executed, Synthesized int
-	// GoldenTraces counts the golden runs this campaign traced: 1 when its
-	// plan traced the system's golden run, 0 when it needed none or an
-	// earlier campaign on the same sealed system had traced it already.
-	GoldenTraces int
 }
 
 // Run executes a campaign: golden is the fault-free checksum; progress (may
@@ -283,14 +284,15 @@ func Run(sys *kernel.System, golden uint32, profile *Profile, spec Spec, progres
 	return RunWith(sys, golden, profile, spec, progress, ExecOptions{})
 }
 
-// Golden measures the fault-free checksum; it fails if the pristine system
-// does not complete.
+// Golden is the fault-free checksum of the system's golden run
+// (System.GoldenTrace), tracing it only if no earlier call on the sealed
+// image did; it fails if the pristine system does not complete.
 func Golden(sys *kernel.System) (uint32, error) {
-	res, err := goldenRun(sys)
+	tr, err := sys.GoldenTrace()
 	if err != nil {
 		return 0, err
 	}
-	return res.Checksum, nil
+	return tr.Checksum(), nil
 }
 
 // profileCycles estimates the benchmark length from the profile (the sum of

@@ -9,14 +9,15 @@ import (
 	"kfi/internal/inject"
 	"kfi/internal/isa"
 	"kfi/internal/kernel"
-	"kfi/internal/machine"
 	"kfi/internal/platform"
 	"kfi/internal/workload"
 )
 
 // Guest is one built guest system measured fault-free: its golden checksum
-// and run length and its kernel-usage profile. Build makes identical
-// siblings from the same compiled images, for farm nodes and respawns.
+// and run length and its kernel-usage profile, all read from the system's
+// one traced golden run (kernel.System.GoldenTrace). Build makes identical
+// siblings from the same compiled images, for farm nodes and respawns; a
+// sibling traces its own golden run only when a plan first needs it.
 type Guest struct {
 	Sys     *kernel.System
 	Golden  uint32
@@ -26,9 +27,10 @@ type Guest struct {
 }
 
 // NewGuest compiles the benchmark workload once at the given scale (< 1
-// means 1), builds a guest system of the platform with opts, and measures
-// its golden run and kernel profile. It is the one system constructor
-// behind core.BuildSystem, Farm, NodeRunner and the harden study.
+// means 1), builds a guest system of the platform with opts, and traces its
+// golden run, which gives the checksum, the run length and the kernel
+// profile. It is the one system constructor behind core.BuildSystem, Farm,
+// NodeRunner and the harden study.
 func NewGuest(platform isa.Platform, scale int, opts kernel.Options) (*Guest, error) {
 	uimg, err := cc.Compile(workload.Program(max(scale, 1)), platform, kernel.UserBases)
 	if err != nil {
@@ -40,25 +42,12 @@ func NewGuest(platform isa.Platform, scale int, opts kernel.Options) (*Guest, er
 	if g.Sys, err = g.Build(); err != nil {
 		return nil, err
 	}
-	res, err := goldenRun(g.Sys)
+	tr, err := g.Sys.GoldenTrace()
 	if err != nil {
 		return nil, err
 	}
-	g.Golden, g.Cycles = res.Checksum, res.Cycles
-	if g.Profile, err = ProfileKernel(g.Sys); err != nil {
-		return nil, err
-	}
+	g.Golden, g.Cycles, g.Profile = tr.Checksum(), tr.Cycles(), profileOf(g.Sys.KernelImage, tr.TextCycles)
 	return g, nil
-}
-
-// goldenRun runs the pristine system once; it fails unless the run
-// completes.
-func goldenRun(sys *kernel.System) (machine.RunResult, error) {
-	res := sys.Run()
-	if res.Outcome != machine.OutCompleted {
-		return res, fmt.Errorf("campaign: golden run did not complete: %v", res.Outcome)
-	}
-	return res, nil
 }
 
 // Farm distributes one campaign's injections across several identical guest

@@ -138,8 +138,7 @@ func run(nodes []*kernel.System, respawn func() (*kernel.System, error), hooks e
 		return nil, err
 	}
 	return &Result{Spec: spec, Platform: nodes[0].Platform, Results: results,
-		EngineStats: ex.stats(), Executed: len(plan.Order), Synthesized: plan.synthesized,
-		GoldenTraces: plan.goldenTraces}, nil
+		EngineStats: ex.stats(), Executed: len(plan.Order), Synthesized: plan.synthesized}, nil
 }
 
 // ReplayFromBoot runs targets the paper's literal way, one inject.RunOne per

@@ -26,9 +26,13 @@ func TestGoldenTraceRetracedAfterReseal(t *testing.T) {
 		}
 		return p
 	}
+	measured, err := sys.GoldenTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := plan()
-	if before.goldenTraces != 1 {
-		t.Fatalf("first plan on a fresh system traced %d golden runs, want 1", before.goldenTraces)
+	if before.golden != measured {
+		t.Fatal("first plan traced the golden run again instead of reading the system's")
 	}
 
 	// Shorten the first timeslice of one process after another until the
@@ -49,9 +53,8 @@ func TestGoldenTraceRetracedAfterReseal(t *testing.T) {
 	}
 
 	after := plan()
-	if after.goldenTraces != 1 || after.golden == before.golden {
-		t.Fatalf("plan after re-seal traced %d golden runs (same trace: %v), want a new trace",
-			after.goldenTraces, after.golden == before.golden)
+	if after.golden == before.golden {
+		t.Fatal("plan after re-seal reused the old trace, want a new one")
 	}
 	if got := after.golden.Cycles(); got != want.Cycles {
 		t.Errorf("re-traced golden run: %d cycles, the patched system runs %d", got, want.Cycles)
@@ -59,60 +62,62 @@ func TestGoldenTraceRetracedAfterReseal(t *testing.T) {
 	if got := after.golden.Checksum(); got != want.Checksum {
 		t.Errorf("re-traced golden run: checksum %08x, the patched system's is %08x", got, want.Checksum)
 	}
-	if again := plan(); again.goldenTraces != 0 || again.golden != after.golden {
-		t.Errorf("second plan after re-seal traced %d golden runs, want 0 and the shared trace",
-			again.goldenTraces)
+	if again := plan(); again.golden != after.golden {
+		t.Error("second plan after re-seal traced again, want the shared trace")
 	}
 }
 
-// TestGoldenTraceSharedAcrossCampaigns: all four campaigns run on one system
-// with Sense and a section cache trace the golden run once between them,
-// and journal the same canonical rows as each campaign run on a system of
-// its own, which traces it for itself.
+// TestGoldenTraceSharedAcrossCampaigns: all four campaigns run on one guest
+// with Sense and a section cache journal the same canonical rows as each
+// campaign run on a system of its own, which traces for itself, and none of
+// them replaces the trace NewGuest took.
 func TestGoldenTraceSharedAcrossCampaigns(t *testing.T) {
 	g, err := NewGuest(isa.CISC, 1, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	measured, err := g.Sys.GoldenTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	camps := []inject.Campaign{inject.CampStack, inject.CampSysReg, inject.CampData, inject.CampCode}
-	canonical := func(sys *kernel.System, camp inject.Campaign) ([]byte, int) {
+	canonical := func(sys *kernel.System, camp inject.Campaign) []byte {
 		t.Helper()
 		spec := Spec{Campaign: camp, N: 10, Seed: 41}
 		dir := t.TempDir()
 		jpath := filepath.Join(dir, "campaign.kjournal")
-		res, _ := runCached(t, sys, g.Golden, g.Profile, spec, filepath.Join(dir, "cache"), jpath)
-		return canonicalBytes(t, jpath), res.GoldenTraces
+		runCached(t, sys, g.Golden, g.Profile, spec, filepath.Join(dir, "cache"), jpath)
+		return canonicalBytes(t, jpath)
 	}
-	for i, camp := range camps {
-		got, traces := canonical(g.Sys, camp)
-		if want := firstOnly(i); traces != want {
-			t.Errorf("%v on the shared system traced %d golden runs, want %d", camp, traces, want)
-		}
+	for _, camp := range camps {
+		got := canonical(g.Sys, camp)
 		fresh, err := g.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, traces := canonical(fresh, camp)
-		if traces != 1 {
-			t.Errorf("%v on a fresh system traced %d golden runs, want 1", camp, traces)
-		}
-		if !bytes.Equal(got, want) {
+		if want := canonical(fresh, camp); !bytes.Equal(got, want) {
 			t.Errorf("%v: canonical journal on the shared system differs from a fresh system's", camp)
 		}
+	}
+	if tr, err := g.Sys.GoldenTrace(); err != nil || tr != measured {
+		t.Errorf("after four campaigns: err=%v same trace=%v, want the trace NewGuest took", err, tr == measured)
 	}
 }
 
 // TestGoldenTraceSharedReadOnly: plans built in sequence on one system share
-// one trace object, and after every plan that trace still equals the trace
-// of an identical system that no plan has read.
+// the system's trace object, and after every plan that trace still equals
+// the trace of an identical system that no plan has read.
 func TestGoldenTraceSharedReadOnly(t *testing.T) {
 	sys, golden, prof := freshSystem(t, isa.RISC)
 	sibling, _, _ := freshSystem(t, isa.RISC)
-	ref, traced, err := sibling.GoldenTrace()
-	if err != nil || !traced {
-		t.Fatalf("sibling trace: traced=%v err=%v", traced, err)
+	ref, err := sibling.GoldenTrace()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var shared *kernel.GoldenTrace
+	shared, err := sys.GoldenTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	steps := []struct {
 		camp inject.Campaign
 		opts ExecOptions
@@ -128,18 +133,6 @@ func TestGoldenTraceSharedReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.golden == nil {
-			if s.camp != inject.CampStack {
-				t.Fatalf("step %d (%v): plan holds no golden trace", i, s.camp)
-			}
-			continue
-		}
-		if shared == nil {
-			shared = plan.golden
-		}
-		if want := firstOnly(i); plan.goldenTraces != want {
-			t.Errorf("step %d (%v): plan traced %d golden runs, want %d", i, s.camp, plan.goldenTraces, want)
-		}
 		if plan.golden != shared {
 			t.Errorf("step %d (%v): plan holds its own trace, not the system's", i, s.camp)
 		}
@@ -151,13 +144,4 @@ func TestGoldenTraceSharedReadOnly(t *testing.T) {
 			t.Fatalf("step %d (%v): building the plan changed the shared trace", i, s.camp)
 		}
 	}
-}
-
-// firstOnly is the golden traces the i-th campaign or plan on one system
-// should count: the first traces, the rest reuse its trace.
-func firstOnly(i int) int {
-	if i == 0 {
-		return 1
-	}
-	return 0
 }

@@ -25,7 +25,7 @@ type NodeRunner struct {
 }
 
 // NewNodeRunner builds one guest system of the given platform and workload
-// scale, measures its golden checksum, and profiles kernel usage.
+// scale and traces its golden run (NewGuest).
 func NewNodeRunner(platform isa.Platform, scale int, opts kernel.Options) (*NodeRunner, error) {
 	g, err := NewGuest(platform, scale, opts)
 	if err != nil {
@@ -43,9 +43,10 @@ func (nr *NodeRunner) Golden() uint32 { return nr.guest.Golden }
 // Profile returns the measured kernel-usage profile.
 func (nr *NodeRunner) Profile() *Profile { return nr.guest.Profile }
 
-// Plan builds the spec's plan with default options. The traced golden run
-// it may need (code and data campaigns) is the system's: the first plan on
-// the node traces it, every later plan and every RunIndices call reuses it.
+// Plan builds the spec's plan with default options. Its traced golden run is
+// the system's, traced when NewNodeRunner built the node (or, after a
+// respawn, by the first plan on the replacement); every later plan and
+// every RunIndices call reuses it.
 func (nr *NodeRunner) Plan(spec Spec) (*Plan, error) {
 	return NewPlan(nr.guest.Sys, nr.guest.Golden, nr.guest.Profile, spec, nil, ExecOptions{})
 }

@@ -36,13 +36,10 @@ type Plan struct {
 	// synthesized counts the Pre rows in ready (those not resumed or
 	// served by the section cache).
 	synthesized int
-	// golden is the system's shared, read-only traced golden run (nil when
-	// nothing needed it); goldenTraces is 1 when building this plan traced
-	// it and 0 when the system already held it.
-	golden       *kernel.GoldenTrace
-	goldenTraces int
-	sense        *sensePass
-	secs         *sectionSet
+	// golden is the system's shared, read-only traced golden run.
+	golden *kernel.GoldenTrace
+	sense  *sensePass
+	secs   *sectionSet
 }
 
 // readyRow is one row the plan completes without execution.
@@ -68,11 +65,9 @@ func Targets(sys *kernel.System, profile *Profile, spec Spec) ([]inject.Target, 
 // NewPlan builds the plan for spec on sys. targets, when non-nil, replaces
 // target generation (the harden study runs matched lists). The steps, in
 // order: generate targets, run the static sense pass (opts.Sense), sort
-// targets by trigger cycle — taking the system's traced golden run when
-// code or data targets or the section cache need it, which traces it only
-// if no earlier plan on the sealed image did — synthesize unreached rows,
-// load section-cache hits (opts.SectionCache), and skip the rows
-// opts.Completed already holds.
+// targets by trigger cycle against the system's traced golden run,
+// synthesize unreached rows, load section-cache hits (opts.SectionCache),
+// and skip the rows opts.Completed already holds.
 func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 	targets []inject.Target, opts ExecOptions) (*Plan, error) {
 	if targets == nil {
@@ -86,7 +81,7 @@ func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 		return nil, err
 	}
 	p := &Plan{Targets: targets, Pre: map[int]inject.Result{}, sense: sense}
-	if err := p.sortByTrigger(sys, opts.SectionCache != ""); err != nil {
+	if err := p.sortByTrigger(sys); err != nil {
 		return nil, err
 	}
 	if p.secs, err = openSectionCache(sys, golden, spec, targets, p.golden, opts); err != nil {
@@ -125,30 +120,19 @@ func NewPlan(sys *kernel.System, golden uint32, profile *Profile, spec Spec,
 // at the first execution of its address, a data target at the first touch
 // of its word. A target the golden run never executes or touches becomes a
 // synthesized not-activated row. Any other target injects at boot (trigger
-// 0). When code or data targets need the traced golden run, or trace is
-// set, the plan takes the system's (System.GoldenTrace): the system traces
-// it once per sealed image, word trace included, and every later plan
-// reads the same trace.
+// 0). The trace is the system's (System.GoldenTrace): NewGuest traced it
+// when it built the system, and a system built any other way traces it for
+// its first plan; every later plan on the sealed image reads the same one.
 //
 // Forking a data row at its first touch is exact. Up to that cycle nothing
 // has read or written the word, so a from-boot run with the bit flipped is
 // the golden run plus the flip; flipping at the pause instead reaches the
 // same state. RunFrom then arms the watchpoint as it would at boot, and the
 // access that fires it is the same one.
-func (p *Plan) sortByTrigger(sys *kernel.System, trace bool) error {
-	for _, t := range p.Targets {
-		trace = trace || t.Campaign == inject.CampCode ||
-			(t.Campaign == inject.CampData && t.Delay == 0)
-	}
-	if trace {
-		tr, traced, err := sys.GoldenTrace()
-		if err != nil {
-			return err
-		}
-		p.golden = tr
-		if traced {
-			p.goldenTraces = 1
-		}
+func (p *Plan) sortByTrigger(sys *kernel.System) error {
+	var err error
+	if p.golden, err = sys.GoldenTrace(); err != nil {
+		return err
 	}
 	p.order = make([]trigOrder, 0, len(p.Targets))
 	for i, t := range p.Targets {

@@ -81,9 +81,6 @@ func openSectionCache(sys *kernel.System, golden uint32, spec Spec,
 	if opts.SectionCache == "" {
 		return nil, nil
 	}
-	if tr == nil {
-		return nil, fmt.Errorf("campaign: section cache requires a traced golden run")
-	}
 	byName := map[string][]int{}
 	var names []string
 	for i, t := range targets {

@@ -23,13 +23,9 @@ import (
 	"kfi/internal/stats"
 )
 
-// System bundles a bootable guest with its golden checksum and kernel
-// profile.
-type System struct {
-	Sys     *kernel.System
-	Golden  uint32
-	Profile *campaign.Profile
-}
+// System is a bootable guest with its golden checksum, run length and
+// kernel profile.
+type System = campaign.Guest
 
 // BuildOptions tune system construction.
 type BuildOptions struct {
@@ -51,13 +47,9 @@ type BuildOptions struct {
 }
 
 // BuildSystem compiles kernel + workload for the platform, boots, seals,
-// measures the golden checksum, and profiles kernel usage.
+// and traces the golden run for its checksum, length and kernel profile.
 func BuildSystem(platform isa.Platform, opts BuildOptions) (*System, error) {
-	g, err := campaign.NewGuest(platform, opts.Scale, opts.kernelOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &System{Sys: g.Sys, Golden: g.Golden, Profile: g.Profile}, nil
+	return campaign.NewGuest(platform, opts.Scale, opts.kernelOptions())
 }
 
 // kernelOptions maps the build options onto the guest kernel's.
@@ -143,10 +135,8 @@ type CampaignOutcome struct {
 	// EngineStats are the translator's observability counters
 	// (internal/platform.EngineStats).
 	EngineStats platform.EngineStats
-	// Executed and Synthesized are campaign.Result's row counters, and
-	// GoldenTraces its count of traced golden runs.
+	// Executed and Synthesized are campaign.Result's row counters.
 	Executed, Synthesized int
-	GoldenTraces          int
 }
 
 // PlatformResult holds one platform's campaigns.
@@ -279,15 +269,14 @@ func RunCampaignOn(system *System, camp inject.Campaign, n int, seed int64,
 
 func summarize(res *campaign.Result) *CampaignOutcome {
 	return &CampaignOutcome{
-		Spec:         res.Spec,
-		Counts:       stats.Summarize(res.Results),
-		Causes:       stats.CrashCauses(res.Results),
-		Latency:      stats.Latencies(res.Results),
-		Results:      res.Results,
-		EngineStats:  res.EngineStats,
-		Executed:     res.Executed,
-		Synthesized:  res.Synthesized,
-		GoldenTraces: res.GoldenTraces,
+		Spec:        res.Spec,
+		Counts:      stats.Summarize(res.Results),
+		Causes:      stats.CrashCauses(res.Results),
+		Latency:     stats.Latencies(res.Results),
+		Results:     res.Results,
+		EngineStats: res.EngineStats,
+		Executed:    res.Executed,
+		Synthesized: res.Synthesized,
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 
 // GoldenTrace is one traced golden run of a sealed system: the first cycle
 // at which each PC is about to execute, the first-touch cycle of each data
-// word, and the run's length and checksum. It is a pure function of the
-// sealed image, so System.GoldenTrace computes it once and every plan on the
-// system shares it. It is read-only: its maps are reachable only through
-// the lookup methods.
+// word, the cycles retired at each kernel-text PC, and the run's length and
+// checksum. It is a pure function of the sealed image, so System.GoldenTrace
+// computes it once and every plan on the system shares it. It is the
+// system's one fault-free run: the golden checksum, the run length and the
+// kernel profile are all read from it. It is read-only: its maps and slices
+// are reachable only through the lookup methods.
 type GoldenTrace struct {
 	firstHit map[uint32]uint64
 	// firstTouch maps every 4-byte word (addr &^ 3, the word
@@ -25,8 +27,12 @@ type GoldenTrace struct {
 	// and the host glue's raw reads and writes. A snapshot chain pausing for
 	// that trigger stops before the access.
 	firstTouch map[uint32]uint64
-	cycles     uint64
-	checksum   uint32
+	// text holds the cycles retired at each kernel-text address, indexed
+	// from textBase: every execution's cost summed, 0 where nothing ran.
+	text     []uint64
+	textBase uint32
+	cycles   uint64
+	checksum uint32
 
 	hitsOnce sync.Once
 	hits     string
@@ -45,6 +51,16 @@ func (tr *GoldenTrace) FirstHit(pc uint32) (uint64, bool) {
 func (tr *GoldenTrace) FirstTouch(addr uint32) (uint64, bool) {
 	c, ok := tr.firstTouch[addr&^3]
 	return c, ok
+}
+
+// TextCycles returns the cycles the golden run retired executing the
+// instruction at pc, summed over every execution; it is 0 for a pc outside
+// kernel text.
+func (tr *GoldenTrace) TextCycles(pc uint32) uint64 {
+	if off := pc - tr.textBase; off < uint32(len(tr.text)) {
+		return tr.text[off]
+	}
+	return 0
 }
 
 // Cycles is the golden run's length.
@@ -81,36 +97,46 @@ type goldenMemo struct {
 
 // GoldenTrace returns the system's traced golden run, tracing it on the
 // first call and again only after Machine.Seal replaced the sealed image.
-// traced reports whether this call ran the trace. A traced run reboots and
-// runs the machine; a call served from the memo leaves the machine as it
-// is.
-func (s *System) GoldenTrace() (tr *GoldenTrace, traced bool, err error) {
+// A traced run reboots and runs the machine; a call served from the memo
+// leaves the machine as it is.
+func (s *System) GoldenTrace() (*GoldenTrace, error) {
 	s.golden.mu.Lock()
 	defer s.golden.mu.Unlock()
 	gen := s.Machine.Mem.SealGen()
 	if s.golden.tr != nil && s.golden.gen == gen {
-		return s.golden.tr, false, nil
+		return s.golden.tr, nil
 	}
-	if tr, err = traceGolden(s.Machine); err != nil {
-		return nil, false, err
+	tr, err := s.traceGolden()
+	if err != nil {
+		return nil, err
 	}
 	s.golden.tr, s.golden.gen = tr, gen
-	return tr, true, nil
+	return tr, nil
 }
 
 // traceGolden runs the benchmark once from the sealed image with both
 // traces installed: the instruction trace for each PC's first execution and
-// the access trace for each data word's first touch.
-func traceGolden(m *machine.Machine) (*GoldenTrace, error) {
+// each kernel-text PC's retired cycles, and the access trace for each data
+// word's first touch. Two bitmaps (one bit per byte of guest memory for
+// PCs, one per word for accesses) keep the first-hit and first-touch maps
+// off the path of every repeat.
+func (s *System) traceGolden() (*GoldenTrace, error) {
+	m := s.Machine
 	m.Reboot()
 	clk := m.Core().Clock()
-	tr := &GoldenTrace{firstHit: make(map[uint32]uint64, 1<<14),
-		firstTouch: make(map[uint32]uint64, 1<<12)}
+	text, base := make([]uint64, len(s.KernelImage.Code)), s.KernelImage.CodeBase
+	tr := &GoldenTrace{firstHit: map[uint32]uint64{}, firstTouch: map[uint32]uint64{},
+		text: text, textBase: base}
 	var last uint64 // start cycle of the last instruction completed
+	hit := make([]uint64, (m.Mem.Size()+63)/64)
 	m.Core().SetTrace(func(pc uint32, cost uint8) {
 		// Trace reports after the clock advanced past the instruction.
 		last = clk.Cycles() - uint64(cost)
-		if _, ok := tr.firstHit[pc]; !ok {
+		if off := pc - base; off < uint32(len(text)) {
+			text[off] += uint64(cost)
+		}
+		if hit[pc/64]&(1<<(pc%64)) == 0 {
+			hit[pc/64] |= 1 << (pc % 64)
 			tr.firstHit[pc] = last
 		}
 	})

@@ -11,9 +11,9 @@ import (
 // describes the same run an untraced Run does.
 func TestGoldenTraceMemo(t *testing.T) {
 	sys := buildStandard(t, isa.CISC)
-	first, traced, err := sys.GoldenTrace()
-	if err != nil || !traced {
-		t.Fatalf("first call: traced=%v err=%v, want a trace", traced, err)
+	first, err := sys.GoldenTrace()
+	if err != nil {
+		t.Fatal(err)
 	}
 	run := sys.Run()
 	if first.Cycles() != run.Cycles || first.Checksum() != run.Checksum {
@@ -26,15 +26,15 @@ func TestGoldenTraceMemo(t *testing.T) {
 	if _, ok := first.FirstTouch(sys.KernelImage.Sym("current") + 1); !ok {
 		t.Error("the trace records no touch of the word holding current")
 	}
-	again, traced, err := sys.GoldenTrace()
-	if err != nil || traced || again != first {
-		t.Errorf("second call: traced=%v err=%v same=%v, want the memo", traced, err, again == first)
+	again, err := sys.GoldenTrace()
+	if err != nil || again != first {
+		t.Errorf("second call: err=%v same=%v, want the memo", err, again == first)
 	}
 	// Re-seal the boot image unchanged: Seal alone must drop the memo.
 	sys.Machine.Reboot()
 	sys.Machine.Seal()
-	resealed, traced, err := sys.GoldenTrace()
-	if err != nil || !traced || resealed == first {
-		t.Errorf("after Seal: traced=%v err=%v same=%v, want a new trace", traced, err, resealed == first)
+	resealed, err := sys.GoldenTrace()
+	if err != nil || resealed == first {
+		t.Errorf("after Seal: err=%v same=%v, want a new trace", err, resealed == first)
 	}
 }
