@@ -115,7 +115,7 @@ func instrSize(sys *kfi.System, addr uint32) (uint32, error) {
 	if sys.Sys.Machine.RISCCPU() != nil {
 		return 4, nil
 	}
-	bs := sys.Sys.Machine.Mem.RawBytes(addr, 9)
+	bs := sys.Sys.Machine.Mem.PeekBytes(addr, 9)
 	if bs == nil {
 		return 0, fmt.Errorf("address 0x%X out of range", addr)
 	}

@@ -42,8 +42,8 @@ func loadGuest(t *testing.T, im *Image) *guest {
 	m.Map(im.DataBase, uint32(len(im.Data))+mem.PageSize, mem.Present|mem.Writable)
 	m.Map(im.BSSBase, im.BSSSize+mem.PageSize, mem.Present|mem.Writable)
 	m.Map(testStackBase, testStackSize, mem.Present|mem.Writable)
-	copy(m.RawBytes(im.CodeBase, uint32(len(im.Code))), im.Code)
-	copy(m.RawBytes(im.DataBase, uint32(len(im.Data))), im.Data)
+	m.WriteBytes(im.CodeBase, im.Code)
+	m.WriteBytes(im.DataBase, im.Data)
 	g := &guest{im: im, mc: m}
 	if im.Platform == isa.CISC {
 		g.cCPU = cisc.NewCPU(m)

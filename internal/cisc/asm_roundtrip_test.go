@@ -227,7 +227,7 @@ func TestAbsoluteLoadStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := newTestCPU(t, func(b *Asm) { b.Nop() })
-	copy(c2.Mem.RawBytes(tCode, uint32(len(code))), code)
+	c2.Mem.WriteBytes(tCode, code)
 	if ev := run(t, c2, 20); ev.Kind != isa.EvSyscall {
 		t.Fatalf("%+v", ev)
 	}

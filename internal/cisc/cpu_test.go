@@ -29,7 +29,7 @@ func newTestCPU(t *testing.T, build func(a *Asm)) *CPU {
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
-	copy(m.RawBytes(tCode, uint32(len(code))), code)
+	m.WriteBytes(tCode, code)
 	c := NewCPU(m)
 	c.EIP = tCode
 	c.Regs[ESP] = tStack + 0x1000

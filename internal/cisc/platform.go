@@ -239,7 +239,7 @@ func (c *coreAdapter) RestoreCPUState(st platform.CPUState) error {
 
 // DisasmAt renders the instruction at pc (best effort; raw bytes on failure).
 func (c *coreAdapter) DisasmAt(pc uint32) string {
-	bs := c.mem.RawBytes(pc, 9)
+	bs := c.mem.PeekBytes(pc, 9)
 	if bs == nil {
 		return "<unmapped>"
 	}

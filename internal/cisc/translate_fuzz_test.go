@@ -150,7 +150,7 @@ func runDiff(t *testing.T, rng *rand.Rand, prog []byte, flip, wantTranslated boo
 		m.Map(fuzzCode, fuzzCodeSize, mem.Present|mem.Writable)
 		m.Map(fuzzData, mem.PageSize, mem.Present|mem.Writable)
 		m.Map(fuzzStack, mem.PageSize, mem.Present|mem.Writable)
-		copy(m.RawBytes(fuzzCode, uint32(len(prog))), prog)
+		m.WriteBytes(fuzzCode, prog)
 		c := NewCPU(m)
 		c.EIP = fuzzCode
 		c.Regs[ESP] = fuzzStack + mem.PageSize

@@ -170,8 +170,8 @@ func BuildSystem(platform isa.Platform, userImage *cc.Image, procs []ProcSpec, o
 		if userImage.BSSSize > 0 {
 			m.Mem.Map(userImage.BSSBase, userImage.BSSSize, mem.Present|mem.Writable|mem.UserOK)
 		}
-		copy(m.Mem.RawBytes(userImage.CodeBase, uint32(len(userImage.Code))), userImage.Code)
-		copy(m.Mem.RawBytes(userImage.DataBase, uint32(len(userImage.Data))), userImage.Data)
+		m.Mem.WriteBytes(userImage.CodeBase, userImage.Code)
+		m.Mem.WriteBytes(userImage.DataBase, userImage.Data)
 		m.Mem.AddRegion(mem.Region{Name: "utext", Kind: mem.KindUser, Start: userImage.CodeBase, End: userImage.CodeBase + uint32(len(userImage.Code))})
 		udataEnd := userImage.DataBase + uint32(len(userImage.Data)) + mem.PageSize
 		m.Mem.AddRegion(mem.Region{Name: "udata", Kind: mem.KindUser, Start: userImage.DataBase, End: udataEnd})

@@ -201,8 +201,8 @@ func New(cfg Config) (*Machine, error) {
 	if im.HeapSize > 0 {
 		m.Map(im.HeapBase, im.HeapSize, mem.Present|mem.Writable)
 	}
-	copy(m.RawBytes(im.CodeBase, uint32(len(im.Code))), im.Code)
-	copy(m.RawBytes(im.DataBase, uint32(len(im.Data))), im.Data)
+	m.WriteBytes(im.CodeBase, im.Code)
+	m.WriteBytes(im.DataBase, im.Data)
 	m.AddRegion(mem.Region{Name: "text", Kind: mem.KindCode, Start: im.CodeBase, End: im.CodeBase + uint32(len(im.Code))})
 	if len(im.Data) > 0 {
 		m.AddRegion(mem.Region{Name: "data", Kind: mem.KindData, Start: im.DataBase, End: im.DataBase + uint32(len(im.Data))})

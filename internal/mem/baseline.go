@@ -22,42 +22,54 @@ import (
 // costs the pages the kernel and workload use rather than the whole RAM.
 // The sealed boot image and every restore baseline are Images.
 type Image struct {
-	pages [][]byte // one entry per RAM page; nil reads as zeros
+	pages []*[PageSize]byte // one entry per RAM page; nil reads as zeros
 }
 
+// zeroPage backs reads of unallocated RAM pages; it is never written.
 var zeroPage [PageSize]byte
 
-// CopyImage copies the current RAM contents into a new Image.
+// CopyImage copies the current RAM contents into a new Image. Only
+// allocated RAM pages are visited; the others are zero and left out.
 func (m *Memory) CopyImage() *Image {
-	img := &Image{pages: make([][]byte, len(m.gens))}
-	for i := range img.pages {
-		img.store(i, m.page(i))
+	img := &Image{pages: make([]*[PageSize]byte, len(m.pages))}
+	for i, p := range m.pages {
+		if p != nil {
+			img.store(i, p)
+		}
 	}
 	return img
 }
 
 // store copies src into page i; a page stays left out while it is zero.
-func (img *Image) store(i int, src []byte) {
+func (img *Image) store(i int, src *[PageSize]byte) {
 	if img.pages[i] == nil {
-		if bytes.Equal(src, zeroPage[:]) {
+		if bytes.Equal(src[:], zeroPage[:]) {
 			return
 		}
-		img.pages[i] = make([]byte, PageSize)
+		img.pages[i] = new([PageSize]byte)
 	}
-	copy(img.pages[i], src)
+	*img.pages[i] = *src
 }
 
-// load copies page i into dst.
-func (img *Image) load(i int, dst []byte) {
-	if p := img.pages[i]; p != nil {
-		copy(dst, p)
-	} else {
-		clear(dst)
+// load copies page i of img into RAM. A non-zero image page allocates the
+// RAM page; a left-out one clears the RAM page in place if it is allocated
+// and leaves it unallocated otherwise.
+func (m *Memory) load(img *Image, i int) {
+	if src := img.pages[i]; src != nil {
+		*m.pageAt(uint32(i)) = *src
+	} else if p := m.pages[i]; p != nil {
+		clear(p[:])
 	}
 }
 
-// page returns RAM page i.
-func (m *Memory) page(i int) []byte { return m.ram[i*PageSize : (i+1)*PageSize] }
+// ramPage returns RAM page i for reading: the shared zero page when it is
+// unallocated.
+func (m *Memory) ramPage(i int) *[PageSize]byte {
+	if p := m.pages[i]; p != nil {
+		return p
+	}
+	return &zeroPage
+}
 
 // SetBaseline arms image as the restore baseline. The image must have been
 // copied from a memory of the same size; SetBaseline panics otherwise (a
@@ -69,11 +81,11 @@ func (m *Memory) page(i int) []byte { return m.ram[i*PageSize : (i+1)*PageSize] 
 // The memory retains (aliases) image: it changes only through SyncBaseline
 // while the baseline is armed.
 func (m *Memory) SetBaseline(image *Image, synced bool) {
-	if len(image.pages) != len(m.gens) {
+	if len(image.pages) != len(m.pages) {
 		panic("mem: baseline image size mismatch")
 	}
 	m.baseline = image
-	m.dirty = make([]uint64, (len(m.gens)+63)/64)
+	m.dirty = make([]uint64, (len(m.pages)+63)/64)
 	if !synced {
 		m.markAllDirty()
 	}
@@ -99,7 +111,7 @@ func (m *Memory) RestoreBaseline() int {
 		panic("mem: RestoreBaseline without a baseline")
 	}
 	return m.forEachDirtyPage(func(page int) {
-		m.baseline.load(page, m.page(page))
+		m.load(m.baseline, page)
 		m.gens[page]++
 	})
 }
@@ -113,7 +125,7 @@ func (m *Memory) SyncBaseline() int {
 		panic("mem: SyncBaseline without a baseline")
 	}
 	return m.forEachDirtyPage(func(page int) {
-		m.baseline.store(page, m.page(page))
+		m.baseline.store(page, m.ramPage(page))
 	})
 }
 
@@ -141,7 +153,7 @@ func (m *Memory) forEachDirtyPage(fn func(page int)) int {
 // visitDirty calls fn with each dirty page index, skipping bits beyond the
 // last real page (markAllDirty sets whole words).
 func (m *Memory) visitDirty(fn func(page int)) {
-	pages := len(m.ram) / PageSize
+	pages := len(m.pages)
 	for wi, w := range m.dirty {
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)
@@ -168,8 +180,8 @@ func (m *Memory) touch(addr, size uint32) {
 		return
 	}
 	end := addr + size - 1
-	if end < addr || end >= uint32(len(m.ram)) {
-		end = uint32(len(m.ram)) - 1
+	if end < addr || end >= m.size {
+		end = m.size - 1
 	}
 	for p := addr / PageSize; p <= end/PageSize; p++ {
 		m.dirty[p>>6] |= 1 << (p & 63)

@@ -87,21 +87,29 @@ func TestCheckAgreesWithReadWrite(t *testing.T) {
 	}
 }
 
-func TestRawBytesAliasing(t *testing.T) {
+func TestWriteBytes(t *testing.T) {
 	m := New(1<<20, binary.LittleEndian)
-	b := m.RawBytes(0x100, 8)
-	if b == nil {
-		t.Fatal("in-range RawBytes returned nil")
+	if !m.WriteBytes(0x100, []byte{0xAA, 0xBB}) {
+		t.Fatal("in-range WriteBytes was rejected")
 	}
-	b[0] = 0xAA
-	if got := m.RawRead(0x100, 1); got != 0xAA {
-		t.Errorf("RawBytes does not alias RAM: read 0x%X", got)
+	if got := m.RawRead(0x100, 2); got != 0xBBAA {
+		t.Errorf("WriteBytes not visible to reads: read 0x%X", got)
 	}
-	if m.RawBytes(uint32(1<<20)-4, 8) != nil {
-		t.Error("out-of-range RawBytes should be nil")
+	// A copy across a page boundary lands on both pages.
+	if !m.WriteBytes(PageSize-1, []byte{0x11, 0x22}) {
+		t.Fatal("page-straddling WriteBytes was rejected")
 	}
-	if m.RawBytes(0xFFFFFFFF, 8) != nil {
-		t.Error("wrapping RawBytes should be nil")
+	if got := m.RawRead(PageSize-1, 2); got != 0x2211 {
+		t.Errorf("straddling WriteBytes: read 0x%X, want 0x2211", got)
+	}
+	if m.WriteBytes(uint32(1<<20)-4, make([]byte, 8)) {
+		t.Error("out-of-range WriteBytes should be rejected")
+	}
+	if m.WriteBytes(0xFFFFFFFF, make([]byte, 8)) {
+		t.Error("wrapping WriteBytes should be rejected")
+	}
+	if got := m.RawRead(uint32(1<<20)-4, 4); got != 0 {
+		t.Errorf("rejected WriteBytes wrote 0x%X", got)
 	}
 }
 

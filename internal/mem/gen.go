@@ -40,8 +40,8 @@ func (m *Memory) bumpGen(addr, size uint32) {
 		return
 	}
 	end := addr + size - 1
-	if end < addr || end >= uint32(len(m.ram)) {
-		end = uint32(len(m.ram)) - 1
+	if end < addr || end >= m.size {
+		end = m.size - 1
 	}
 	for p := addr / PageSize; p <= end/PageSize; p++ {
 		m.gens[p]++

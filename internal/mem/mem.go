@@ -1,8 +1,8 @@
 // Package mem implements the physical memory and page-protection model shared
-// by both simulated machines: a flat RAM image, page-granular present/writable
-// flags (the MMU), a named region map (kernel code, data, per-process kernel
-// stacks, user space), and raw host-side access paths used by the loader and
-// the fault injector.
+// by both simulated machines: a page-sparse RAM image, page-granular
+// present/writable flags (the MMU), a named region map (kernel code, data,
+// per-process kernel stacks, user space), and raw host-side access paths used
+// by the loader and the fault injector.
 //
 // Address-space conventions follow the paper's target kernels: page 0 is never
 // mapped, so accesses below 4 KiB classify as NULL-pointer dereferences;
@@ -89,7 +89,12 @@ func (f *Fault) Error() string {
 // Memory is the physical memory of one simulated machine plus its page
 // protection table. The zero value is unusable; construct with New.
 type Memory struct {
-	ram      []byte
+	// pages holds RAM one page at a time. An entry stays nil until the page
+	// is first written and a nil page reads as zeros, so a guest costs the
+	// pages it has written rather than its whole RAM. Once allocated, a page
+	// is cleared in place by restores and reboots, never dropped.
+	pages    []*[PageSize]byte
+	size     uint32
 	pristine *Image // boot-time image for fast reboot
 	flags    []Flags
 	order    binary.ByteOrder
@@ -118,15 +123,21 @@ type Memory struct {
 	// rawObs, when non-nil, observes every in-range RawRead and RawWrite
 	// (see SetRawObserver).
 	rawObs func(addr, size uint32)
+
+	// scratch serves Fetch and PeekBytes ranges that cross a page; word
+	// assembles loads and stores that do.
+	scratch [16]byte
+	word    [4]byte
 }
 
 // New creates a memory of the given size (rounded up to a whole number of
-// pages) with the given byte order. All pages start unmapped.
+// pages) with the given byte order. All pages start unmapped and zero; none
+// is allocated until it is written.
 func New(size uint32, order binary.ByteOrder) *Memory {
 	pages := (size + PageSize - 1) / PageSize
-	size = pages * PageSize
 	return &Memory{
-		ram:   make([]byte, size),
+		pages: make([]*[PageSize]byte, pages),
+		size:  pages * PageSize,
 		flags: make([]Flags, pages),
 		gens:  make([]uint64, pages),
 		order: order,
@@ -146,7 +157,7 @@ func (m *Memory) SetBusWindow(lo, hi uint32) {
 }
 
 // Size returns the physical memory size in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.ram)) }
+func (m *Memory) Size() uint32 { return m.size }
 
 // Order returns the machine byte order.
 func (m *Memory) Order() binary.ByteOrder { return m.order }
@@ -190,7 +201,7 @@ func (m *Memory) check(addr, size uint32, write, user bool) *Fault {
 	if m.busHi > m.busLo && addr >= m.busLo && addr < m.busHi {
 		return &Fault{Kind: FaultBus, Addr: addr, Size: size, Write: write}
 	}
-	if end < addr || end > uint32(len(m.ram)) {
+	if end < addr || end > m.size {
 		return &Fault{Kind: FaultUnmapped, Addr: addr, Size: size, Write: write}
 	}
 	// All our accesses are at most 4 bytes and the engines enforce natural
@@ -242,44 +253,127 @@ func (m *Memory) Write(addr, size, val uint32, user bool) *Fault {
 }
 
 // Fetch performs a checked instruction fetch of n bytes starting at addr and
-// returns a slice aliasing the RAM image (callers must not retain it across
-// writes). Execution from any present page is permitted, as on the paper's
+// returns a read-only slice of them (callers must not write through it or
+// retain it across writes, and must be done with it before the next Fetch or
+// PeekBytes). Execution from any present page is permitted, as on the paper's
 // targets, so corrupted control flow can land in data.
 func (m *Memory) Fetch(addr, n uint32, user bool) ([]byte, *Fault) {
 	if f := m.check(addr, n, false, user); f != nil {
 		return nil, f
 	}
-	return m.ram[addr : addr+n], nil
+	return m.view(addr, n), nil
+}
+
+// view returns [addr, addr+n), already range-checked, for reading. A range
+// inside one page aliases it (or the shared zero page when it is nil); one
+// that crosses a page is gathered into the scratch buffer.
+func (m *Memory) view(addr, n uint32) []byte {
+	off := addr % PageSize
+	if off+n > PageSize {
+		buf := m.scratch[:]
+		if n > uint32(len(buf)) {
+			buf = make([]byte, n)
+		}
+		for i := range buf[:n] {
+			buf[i] = m.byteAt(addr + uint32(i))
+		}
+		return buf[:n]
+	}
+	if n == 0 {
+		return zeroPage[:0]
+	}
+	if p := m.pages[addr/PageSize]; p != nil {
+		return p[off : off+n]
+	}
+	return zeroPage[off : off+n]
+}
+
+// byteAt reads one in-range byte.
+func (m *Memory) byteAt(addr uint32) byte {
+	if p := m.pages[addr/PageSize]; p != nil {
+		return p[addr%PageSize]
+	}
+	return 0
+}
+
+// pageAt returns page i, allocating it zeroed on first use.
+func (m *Memory) pageAt(i uint32) *[PageSize]byte {
+	p := m.pages[i]
+	if p == nil {
+		p = new([PageSize]byte)
+		m.pages[i] = p
+	}
+	return p
 }
 
 func (m *Memory) rawRead(addr, size uint32) uint32 {
+	off := addr % PageSize
+	if off+size > PageSize {
+		return m.readSplit(addr, size)
+	}
+	p := m.pages[addr/PageSize]
+	if p == nil {
+		return 0
+	}
 	switch size {
 	case 1:
-		return uint32(m.ram[addr])
+		return uint32(p[off])
 	case 2:
-		return uint32(m.order.Uint16(m.ram[addr:]))
+		return uint32(m.order.Uint16(p[off:]))
 	default:
-		return m.order.Uint32(m.ram[addr:])
+		return m.order.Uint32(p[off:])
 	}
 }
 
 func (m *Memory) rawWrite(addr, size, val uint32) {
 	m.touch(addr, size)
 	m.bumpGen(addr, size)
+	off := addr % PageSize
+	if off+size > PageSize {
+		m.writeSplit(addr, size, val)
+		return
+	}
+	p := m.pageAt(addr / PageSize)
 	switch size {
 	case 1:
-		m.ram[addr] = byte(val)
+		p[off] = byte(val)
 	case 2:
-		m.order.PutUint16(m.ram[addr:], uint16(val))
+		m.order.PutUint16(p[off:], uint16(val))
 	default:
-		m.order.PutUint32(m.ram[addr:], val)
+		m.order.PutUint32(p[off:], val)
+	}
+}
+
+// readSplit assembles a 2- or 4-byte load that crosses a page bytewise.
+func (m *Memory) readSplit(addr, size uint32) uint32 {
+	w := m.word[:size]
+	for i := range w {
+		w[i] = m.byteAt(addr + uint32(i))
+	}
+	if size == 2 {
+		return uint32(m.order.Uint16(w))
+	}
+	return m.order.Uint32(w)
+}
+
+// writeSplit stores a 2- or 4-byte value that crosses a page bytewise.
+func (m *Memory) writeSplit(addr, size, val uint32) {
+	w := m.word[:size]
+	if size == 2 {
+		m.order.PutUint16(w, uint16(val))
+	} else {
+		m.order.PutUint32(w, val)
+	}
+	for i, b := range w {
+		a := addr + uint32(i)
+		m.pageAt(a / PageSize)[a%PageSize] = b
 	}
 }
 
 // RawRead reads without protection checks (host/loader/injector path).
 // It returns 0 for out-of-range addresses.
 func (m *Memory) RawRead(addr, size uint32) uint32 {
-	if addr+size > uint32(len(m.ram)) || addr+size < addr {
+	if addr+size > m.size || addr+size < addr {
 		return 0
 	}
 	if m.rawObs != nil {
@@ -291,7 +385,7 @@ func (m *Memory) RawRead(addr, size uint32) uint32 {
 // RawWrite writes without protection checks (host/loader/injector path).
 // Out-of-range writes are ignored.
 func (m *Memory) RawWrite(addr, size, val uint32) {
-	if addr+size > uint32(len(m.ram)) || addr+size < addr {
+	if addr+size > m.size || addr+size < addr {
 		return
 	}
 	if m.rawObs != nil {
@@ -307,41 +401,51 @@ func (m *Memory) RawWrite(addr, size, val uint32) {
 // first-touch trace counts them as accesses all the same.
 func (m *Memory) SetRawObserver(fn func(addr, size uint32)) { m.rawObs = fn }
 
-// RawBytes returns a slice aliasing [addr, addr+n) without checks, or nil if
-// out of range. The range is conservatively marked dirty for baseline
-// tracking, since the caller may write through the alias.
-func (m *Memory) RawBytes(addr, n uint32) []byte {
-	if addr+n > uint32(len(m.ram)) || addr+n < addr {
-		return nil
+// WriteBytes copies b into RAM at addr without checks (the image loader
+// path), marking the range dirty and bumping its write generations. It
+// writes nothing and returns false when the range is out of range.
+func (m *Memory) WriteBytes(addr uint32, b []byte) bool {
+	n := uint32(len(b))
+	if addr+n > m.size || addr+n < addr {
+		return false
 	}
 	m.touch(addr, n)
 	m.bumpGen(addr, n)
-	return m.ram[addr : addr+n]
+	for len(b) > 0 {
+		off := addr % PageSize
+		k := copy(m.pageAt(addr / PageSize)[off:], b)
+		b = b[k:]
+		addr += uint32(k)
+	}
+	return true
 }
 
-// PeekBytes returns a read-only slice aliasing [addr, addr+n) without checks,
+// PeekBytes returns a read-only view of [addr, addr+n) without checks,
 // without dirtying baselines, and without bumping write generations, or nil
-// if out of range. Callers must not write through it: it exists for consumers
-// that only decode from RAM — the basic-block translators, which would
-// otherwise invalidate the very page they are translating.
+// if out of range. Callers must not write through it, and a view that
+// crosses a page is valid only until the next Fetch or PeekBytes: it exists
+// for consumers that only decode from RAM — the basic-block translators,
+// which would otherwise invalidate the very page they are translating, and
+// the disassemblers.
 func (m *Memory) PeekBytes(addr, n uint32) []byte {
-	if addr+n > uint32(len(m.ram)) || addr+n < addr {
+	if addr+n > m.size || addr+n < addr {
 		return nil
 	}
-	return m.ram[addr : addr+n]
+	return m.view(addr, n)
 }
 
 // FlipBit flips bit (0..7) of the byte at addr, emulating a single-bit
 // transient error, and returns the previous byte value. Out-of-range flips
 // are ignored and return 0.
 func (m *Memory) FlipBit(addr uint32, bit uint) byte {
-	if addr >= uint32(len(m.ram)) {
+	if addr >= m.size {
 		return 0
 	}
 	m.touch(addr, 1)
 	m.bumpGen(addr, 1)
-	old := m.ram[addr]
-	m.ram[addr] = old ^ (1 << (bit & 7))
+	p := m.pageAt(addr / PageSize)
+	old := p[addr%PageSize]
+	p[addr%PageSize] = old ^ (1 << (bit & 7))
 	return old
 }
 
@@ -365,7 +469,7 @@ func (m *Memory) Reboot() {
 	}
 	m.markAllDirty()
 	m.bumpAllGens()
-	for i := range m.pristine.pages {
-		m.pristine.load(i, m.page(i))
+	for i := range m.pages {
+		m.load(m.pristine, i)
 	}
 }

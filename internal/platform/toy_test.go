@@ -336,7 +336,7 @@ func (c *toyCore) RestoreCPUState(st platform.CPUState) error {
 }
 
 func (c *toyCore) DisasmAt(pc uint32) string {
-	bs := c.mem.RawBytes(pc, 2)
+	bs := c.mem.PeekBytes(pc, 2)
 	if bs == nil {
 		return "<unmapped>"
 	}

@@ -209,7 +209,7 @@ func TestLiSymRelocation(t *testing.T) {
 		}
 		m := mem.New(1<<20, binary.BigEndian)
 		m.Map(tCode, 0x1000, mem.Present)
-		copy(m.RawBytes(tCode, uint32(len(code))), code)
+		m.WriteBytes(tCode, code)
 		c := NewCPU(m)
 		c.PC = tCode
 		ev := run(t, c, 10)
@@ -234,7 +234,7 @@ func TestLiSymCarryPropagation(t *testing.T) {
 	}
 	m := mem.New(1<<20, binary.BigEndian)
 	m.Map(tCode, 0x1000, mem.Present)
-	copy(m.RawBytes(tCode, uint32(len(code))), code)
+	m.WriteBytes(tCode, code)
 	c := NewCPU(m)
 	c.PC = tCode
 	if ev := run(t, c, 10); ev.Kind != isa.EvSyscall {

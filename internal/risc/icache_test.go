@@ -22,7 +22,7 @@ func newLockstepCPU(t testing.TB, code []byte, predecode bool) *CPU {
 	m := mem.New(1<<16, binary.BigEndian)
 	m.Map(0x1000, 0x7000, mem.Present|mem.Writable)
 	m.Map(0x8000, 0x4000, mem.Present|mem.Writable)
-	copy(m.RawBytes(icTestBase, uint32(len(code))), code)
+	m.WriteBytes(icTestBase, code)
 	c := NewCPU(m)
 	c.PC = icTestBase
 	c.R[SP] = icTestStack

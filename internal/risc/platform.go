@@ -295,7 +295,7 @@ func (c *coreAdapter) RestoreCPUState(st platform.CPUState) error {
 
 // DisasmAt renders the instruction at pc (best effort; raw word on failure).
 func (c *coreAdapter) DisasmAt(pc uint32) string {
-	bs := c.mem.RawBytes(pc, 4)
+	bs := c.mem.PeekBytes(pc, 4)
 	if bs == nil {
 		return "<unmapped>"
 	}

@@ -27,7 +27,7 @@ func newTestCPU(t *testing.T, build func(a *Asm)) *CPU {
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
-	copy(m.RawBytes(tCode, uint32(len(code))), code)
+	m.WriteBytes(tCode, code)
 	m.SetBusWindow(0xF0000000, 0xF8000000)
 	c := NewCPU(m)
 	c.PC = tCode

@@ -166,7 +166,7 @@ func runDiff(t *testing.T, rng *rand.Rand, prog []byte, flip, wantTranslated boo
 		m := mem.New(fuzzMemSize, binary.BigEndian)
 		m.Map(fuzzCode, fuzzCodeSize, mem.Present|mem.Writable)
 		m.Map(fuzzData, mem.PageSize, mem.Present|mem.Writable)
-		copy(m.RawBytes(fuzzCode, uint32(len(prog))), prog)
+		m.WriteBytes(fuzzCode, prog)
 		c := NewCPU(m)
 		c.PC = fuzzCode
 		c.R[20] = fuzzData
