@@ -102,6 +102,21 @@ func run(args []string) error {
 		return runHardenStudy(platforms, campaigns, hardenOpts, *n, *seed, *scale, uint8(*burst), *quiet)
 	}
 	if *submit {
+		// The submitted spec carries none of these, so a worker would
+		// silently run without them.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"sense", *sense},
+			{"section-cache", *secCache != ""},
+			{"journal", *journalDir != ""},
+			{"resume", *resume},
+		} {
+			if f.set {
+				return fmt.Errorf("-%s runs locally only; -submit does not pass it to the coordinator", f.name)
+			}
+		}
 		if *coordinator == "" {
 			return fmt.Errorf("-submit requires -coordinator")
 		}

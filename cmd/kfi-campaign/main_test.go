@@ -47,6 +47,21 @@ func TestSubmitFlagValidation(t *testing.T) {
 		"-platform", "p4", "-campaign", "code", "-n", "5"}); err == nil {
 		t.Error("-coordinator without -submit accepted")
 	}
+	// Flags the submitted spec does not carry are refused by name rather
+	// than dropped.
+	for _, local := range [][]string{
+		{"-sense"},
+		{"-section-cache", "cache"},
+		{"-journal", "j"},
+		{"-resume"},
+	} {
+		args := append([]string{"-submit", "-coordinator", "127.0.0.1:9380",
+			"-platform", "p4", "-campaign", "code", "-n", "5"}, local...)
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), local[0]+" runs locally only") {
+			t.Errorf("run(%q): error %v, want %s refused", args, err, local[0])
+		}
+	}
 }
 
 // TestEngineFlagRemoved: every guest runs on the translator, so -engine is

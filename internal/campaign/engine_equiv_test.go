@@ -6,8 +6,8 @@ package campaign_test
 // campaign outcome tables and journal files, header included, on both
 // platforms — and identical to the goldens in testdata, so the translator
 // cannot drift even in ways the two engines happen to share. Any divergence
-// here is a translator (or predecode-cache fallback) soundness bug, not a
-// tolerance to widen.
+// here is a translator (blocks or slot-stepping fallback) soundness bug, not
+// a tolerance to widen.
 
 import (
 	"os"

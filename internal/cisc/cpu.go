@@ -63,16 +63,6 @@ type CPU struct {
 	// and size (used by the golden-run first-touch trace).
 	Access func(addr, size uint32)
 
-	// NoPredecode disables the decoded-instruction cache (see icache.go),
-	// forcing the reference fetch+decode sequence on every Step.
-	NoPredecode bool
-
-	// Decoded-instruction cache state; icLast short-circuits the page lookup
-	// while execution stays within one page.
-	icache     map[uint32]*icachePage
-	icLast     *icachePage
-	icLastPage uint32
-
 	// pending data-breakpoint trap for the current instruction.
 	dbSlot   int
 	dbAccess isa.DataAccess
@@ -247,26 +237,58 @@ func (c *CPU) effAddr(in *Inst) uint32 {
 }
 
 // Step executes one instruction (or reports a pending breakpoint/event).
-// It advances the cycle counter by the instruction cost.
+// It advances the cycle counter by the instruction cost. It is the
+// reference interpreter: it fetches and decodes every instruction afresh.
+// The translator's single steps run the same three phases, decoding through
+// its per-page slots instead.
 func (c *CPU) Step() isa.Event {
+	if s := c.instrBreak(); s >= 0 {
+		return isa.Event{Kind: isa.EvInstrBreak, Slot: s, BreakAddr: c.EIP}
+	}
+	return c.fetchExec()
+}
+
+// instrBreak returns the slot of an instruction breakpoint armed at EIP,
+// or -1 after clearing the pending data break for the instruction about to
+// run.
+func (c *CPU) instrBreak() int {
 	if c.Debug.Armed(isa.BreakInstruction) {
 		if s := c.Debug.HitInstruction(c.EIP); s >= 0 {
-			return isa.Event{Kind: isa.EvInstrBreak, Slot: s, BreakAddr: c.EIP}
+			return s
 		}
 	}
 	c.dbSlot = -1
+	return -1
+}
 
-	// Fetch+decode, via the predecode cache when enabled (see icache.go).
-	var (
-		in   Inst
-		cost uint8
-	)
-	if fev, ok := c.fetchDecode(&in, &cost); !ok {
-		return fev
+// fetchExec is the reference fetch+decode sequence — one byte for the
+// opcode, then the full instruction — followed by retire. A memory fault or
+// invalid opcode is reported before anything executes.
+func (c *CPU) fetchExec() isa.Event {
+	first, f := c.Mem.Fetch(c.EIP, 1, c.user())
+	if f != nil {
+		return c.memFault(f)
 	}
+	e := &opTable[first[0]]
+	if e.op == OpInvalid {
+		return c.exception(isa.CauseInvalidInstr, c.EIP)
+	}
+	raw, f := c.Mem.Fetch(c.EIP, uint32(e.format.Length()), c.user())
+	if f != nil {
+		return c.memFault(f)
+	}
+	dec, err := Decode(raw)
+	if err != nil {
+		return c.exception(isa.CauseInvalidInstr, c.EIP)
+	}
+	return c.retire(&dec, e.cost)
+}
 
+// retire executes a decoded instruction at EIP and retires it: clock,
+// trace hook, then any event or data breakpoint it raised.
+func (c *CPU) retire(in *Inst, cost uint8) isa.Event {
 	pc := c.EIP
-	ev := c.exec(&in)
+	ev := c.exec(in)
 	if ev.Kind == isa.EvException {
 		return ev
 	}

@@ -34,14 +34,11 @@ func (descriptor) NewEngine(kind platform.EngineKind, c platform.Core) (platform
 	}
 }
 
-// stepEngine is the reference interpreter: fetch and decode on every step,
-// with the predecode cache off.
+// stepEngine is the reference interpreter: CPU.RunUntil, fetch and decode
+// on every step.
 type stepEngine struct{ cpu *CPU }
 
-func newStepEngine(cpu *CPU) *stepEngine {
-	cpu.SetPredecode(false)
-	return &stepEngine{cpu: cpu}
-}
+func newStepEngine(cpu *CPU) *stepEngine { return &stepEngine{cpu: cpu} }
 
 func (e *stepEngine) Kind() platform.EngineKind { return platform.EngineInterp }
 

@@ -8,21 +8,31 @@ import (
 
 // Basic-block threaded-closure translator (platform.EngineTranslate).
 //
-// Straight-line guest code is decoded once into an array of fused Go
-// closures — a translated basic block — keyed by page and entry offset and
-// invalidated by internal/mem's per-page write-generation counters, the same
-// counters that invalidate the predecode cache. Dispatch validates the
-// entry page's generation before running a block, and any unit that may
-// store revalidates afterwards, so guest stores and injected bit flips into
-// translated code (including CISC length re-synchronization: the new byte
-// stream decodes to different instructions of different lengths) drop the
-// block and resume in freshly translated or interpreted code bit-identically
-// to the reference interpreter.
+// The translator owns the P4 core's one cache of decoded guest code: per
+// guest page, the instruction decoded at each byte offset a single step
+// ran (a slot) and the block translated from each entry offset. The CISC
+// stream is variable-length, so any byte can start an instruction, which is
+// exactly what lets an injected bit flip re-synchronize the stream into a
+// different valid sequence. Straight-line guest code becomes an array of
+// fused Go closures — a translated basic block — decoded by the slots'
+// decoder. Anything the blocks cannot run takes single steps with CPU.Step's
+// phases — breakpoint check, decode, retire — decoding through the slots,
+// which fill lazily as offsets are first stepped through.
+//
+// Every page is validated against internal/mem's per-page write-generation
+// counter before its slots or blocks are used, and any unit that may store
+// revalidates afterwards, so guest stores and injected bit flips into cached
+// code (including CISC length re-synchronization: the new byte stream
+// decodes to different instructions of different lengths) drop the page and
+// resume in freshly decoded code bit-identically to the reference
+// interpreter.
 //
 // Soundness argument (DESIGN.md §18):
-//   - A block only runs when PageGen(page) equals the generation it was
-//     decoded against, so the bytes it was translated from are the bytes the
-//     interpreter would fetch.
+//   - A slot or block is only used when PageGen(page) equals the generation
+//     it was decoded against, so the bytes it was decoded from are the bytes
+//     the interpreter would fetch. Instructions that straddle a page end are
+//     never cached; they take the reference fetch+decode, keeping cross-page
+//     fault ordering byte-identical.
 //   - A block only runs when it fits entirely under the cycle limit; every
 //     instruction costs at least one cycle, so each proper prefix also fits,
 //     meaning the interpreter would have executed every one of its
@@ -35,8 +45,8 @@ import (
 //     legal precisely because nothing inside the run can fault or raise an
 //     event, so no intermediate EIP, cycle count, or dead flag state is
 //     architecturally observable.
-//   - Tracing and armed debug hardware (the injector's breakpoints) delegate
-//     the whole RunUntil call to the interpreter, so trigger placement and
+//   - Tracing and armed debug hardware (the injector's breakpoints) step the
+//     whole RunUntil call through the slots, so trigger placement and
 //     activation observe identical per-step sequencing.
 
 // blockUnit is one translated step: a fused closure covering one or more
@@ -52,7 +62,7 @@ type blockUnit struct {
 
 // tblock is one translated basic block. An empty unit list is a negative
 // cache entry: the entry offset is undecodable or immediately straddles the
-// page, so dispatch falls back to the interpreter without re-walking.
+// page, so dispatch steps without re-walking.
 type tblock struct {
 	units  []blockUnit
 	total  uint64 // whole-block cycle cost
@@ -62,27 +72,45 @@ type tblock struct {
 // untranslatable is the shared negative-cache sentinel.
 var untranslatable = &tblock{}
 
-// tpage caches translated blocks for one guest page, keyed by entry byte
-// offset (the CISC stream is variable-length: any byte can start a block).
+// Slot decode states.
+const (
+	slotEmpty uint8 = iota // not decoded yet, or a page-straddling instruction
+	slotValid
+	// slotInvalid records an invalid-opcode outcome whose cause lies
+	// entirely within the page, so the exception replays without a fetch.
+	slotInvalid
+)
+
+// tslot is the instruction decoded at one byte offset of a cached page.
+type tslot struct {
+	state uint8
+	cost  uint8
+	inst  Inst
+}
+
+// tpage caches the decoded code of one guest page, keyed by byte offset.
 type tpage struct {
-	// gen is the mem generation the blocks were decoded against.
+	// gen is the mem generation the slots and blocks were decoded against.
 	gen uint64
 	// okKernel/okUser record whether instruction fetch succeeds everywhere
 	// in this page for each mode (flags are uniform across a page and cannot
-	// change without a generation bump).
+	// change without a generation bump). When the current mode's flag is
+	// false the page is not used, so the reference sequence reports faults.
 	okKernel, okUser bool
 	nblocks          int
-	blocks           mem.PageTable[*tblock]
+	slots            mem.PageTable[tslot]   // instructions single steps decoded
+	blocks           mem.PageTable[*tblock] // blocks by entry, nil until first dispatched
 }
 
 const (
-	// translateMaxPages bounds the translator footprint; exceeding it drops
-	// the whole cache (corrupted control flow can execute anywhere).
-	translateMaxPages = 48
-	// translateMaxBlocks bounds the cached blocks across all pages the same
-	// way: the kernel's working set is a few hundred blocks, while a flip
-	// that sends control flow through data translates thousands, and those
-	// would otherwise stay live until their pages change.
+	// translateMaxPages bounds the cache footprint; exceeding it drops the
+	// whole cache (corrupted control flow can execute anywhere).
+	translateMaxPages = 64
+	// translateMaxBlocks bounds the cached blocks across all pages;
+	// exceeding it drops every block but keeps the decoded slots. The
+	// kernel's working set is a few hundred blocks, while a flip that sends
+	// control flow through data translates thousands, and those would
+	// otherwise stay live until their pages change.
 	translateMaxBlocks = 2048
 	// translateMaxInstrs caps a block's instruction count.
 	translateMaxInstrs = 64
@@ -96,14 +124,12 @@ type translator struct {
 	lastPage uint32
 	nblocks  int // cached blocks across all pages
 	stats    platform.EngineStats
+	// ins/pcs are translate's decode buffers, reused across blocks.
+	ins []Inst
+	pcs []uint32
 }
 
-func newTranslator(cpu *CPU) *translator {
-	// Fallback stepping goes through the predecode cache: outcomes are
-	// identical either way and untranslatable stretches stay fast.
-	cpu.SetPredecode(true)
-	return &translator{cpu: cpu}
-}
+func newTranslator(cpu *CPU) *translator { return &translator{cpu: cpu} }
 
 func (t *translator) Kind() platform.EngineKind { return platform.EngineTranslate }
 
@@ -118,65 +144,128 @@ func faultEv(c *CPU, f *mem.Fault) *isa.Event {
 }
 
 // RunUntil dispatches translated blocks until the clock reaches limit or an
-// instruction produces an event.
+// instruction produces an event. Where no block may run it takes single
+// steps: CPU.Step's phases, with the decode served from EIP's slot.
 func (t *translator) RunUntil(limit uint64) isa.Event {
 	c := t.cpu
 	// Anything the block dispatcher cannot reproduce step-for-step —
-	// instruction or access tracing, armed debug hardware — delegates the
-	// whole call to the interpreter. The armed state only changes between
-	// RunUntil calls (hooks and the injector run with the machine paused),
-	// so checking once up front is exact.
-	if c.Trace != nil || c.Access != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData) {
+	// instruction or access tracing, armed debug hardware — steps the whole
+	// call. The armed state only changes between RunUntil calls (hooks and
+	// the injector run with the machine paused), so checking once up front
+	// is exact.
+	stepOnly := c.Trace != nil || c.Access != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData)
+	if stepOnly {
 		t.stats.Fallbacks++
-		return c.RunUntil(limit)
 	}
 	// Step clears the pending data-break slot before each instruction; with
 	// data breakpoints unarmed no unit can set it, so clearing once here
 	// matches the interpreter's per-step reset.
 	c.dbSlot = -1
 	for c.Clk.Cycles() < limit {
-		page, blk := t.lookup()
-		if blk == nil || len(blk.units) == 0 {
-			t.stats.Fallbacks++
-			if ev := c.Step(); ev.Kind != isa.EvNone {
-				return ev
+		if !stepOnly {
+			page, blk := t.lookup()
+			switch {
+			case blk == nil || len(blk.units) == 0:
+				t.stats.Fallbacks++
+			case c.Clk.Cycles()+blk.total > limit:
+				// The block would overrun the cycle horizon: take one step
+				// and re-dispatch (not a translation failure, so not
+				// counted as a fallback).
+			default:
+				t.stats.Hits++
+				pg := t.last
+				for i := range blk.units {
+					u := &blk.units[i]
+					if ev := u.run(c); ev != nil {
+						return *ev
+					}
+					if u.stores && c.Mem.PageGen(page) != pg.gen {
+						// The guest stored into the executing code page (or
+						// an injected flip landed there): abandon the rest
+						// of the block and re-dispatch at the current EIP,
+						// which is exactly the interpreter's refetch.
+						break
+					}
+				}
+				continue
 			}
-			continue
 		}
-		if c.Clk.Cycles()+blk.total > limit {
-			// The block would overrun the cycle horizon: take one
-			// interpreter step and re-dispatch (not a translation failure,
-			// so not counted as a fallback).
-			if ev := c.Step(); ev.Kind != isa.EvNone {
-				return ev
-			}
-			continue
+		if s := c.instrBreak(); s >= 0 {
+			return isa.Event{Kind: isa.EvInstrBreak, Slot: s, BreakAddr: c.EIP}
 		}
-		t.stats.Hits++
-		pg := t.last
-		for i := range blk.units {
-			u := &blk.units[i]
-			if ev := u.run(c); ev != nil {
-				return *ev
-			}
-			if u.stores && c.Mem.PageGen(page) != pg.gen {
-				// The guest stored into the executing code page (or an
-				// injected flip landed there): abandon the rest of the
-				// block and re-dispatch at the current EIP, which is
-				// exactly the interpreter's refetch.
-				break
-			}
+		var ev isa.Event
+		switch sl := t.slot(); {
+		case sl == nil:
+			ev = c.fetchExec()
+		case sl.state == slotValid:
+			// exec never mutates the Inst, and only the translator itself
+			// rewrites slots, so the slot is executed in place.
+			ev = c.retire(&sl.inst, sl.cost)
+		default:
+			ev = c.exception(isa.CauseInvalidInstr, c.EIP)
+		}
+		if ev.Kind != isa.EvNone {
+			return ev
 		}
 	}
 	return isa.Event{}
 }
 
-// lookup validates the page under EIP and returns its block (translating on
-// first use), nil when the translator must not run here.
+// slot returns the decoded slot at EIP, nil when the reference fetch must
+// serve it instead: see page, and a page-straddling instruction is never
+// cached.
+func (t *translator) slot() *tslot {
+	c := t.cpu
+	pg, _ := t.page()
+	if pg == nil {
+		return nil
+	}
+	sl := pg.slots.At(c.EIP & (mem.PageSize - 1))
+	if sl.state == slotEmpty {
+		t.decode(sl, c.EIP)
+	}
+	if sl.state == slotEmpty {
+		return nil
+	}
+	return sl
+}
+
+// lookup returns the block at EIP (translating on first use), nil when the
+// translator must not run here.
 func (t *translator) lookup() (uint32, *tblock) {
 	c := t.cpu
+	pg, page := t.page()
+	if pg == nil {
+		return page, nil
+	}
+	entry := pg.blocks.At(c.EIP & (mem.PageSize - 1))
+	if *entry == nil {
+		if t.nblocks >= translateMaxBlocks {
+			// Drop every block; the decoded slots stay valid until their
+			// page's generation moves.
+			for _, p := range t.pages {
+				p.blocks.Clear()
+				p.nblocks = 0
+			}
+			t.nblocks = 0
+		}
+		*entry = t.translate(c.EIP, pg.gen)
+		pg.nblocks++
+		t.nblocks++
+		if len((*entry).units) > 0 {
+			t.stats.Translated++
+		}
+	}
+	return page, *entry
+}
+
+// page validates the cache page under EIP, nil when EIP is outside RAM or
+// the current mode cannot fetch everywhere in the page; the reference
+// sequence then reports the fetch.
+func (t *translator) page() (*tpage, uint32) {
+	c := t.cpu
 	if c.EIP >= c.Mem.Size() {
-		return 0, nil
+		return nil, 0
 	}
 	page := c.EIP / mem.PageSize
 	pg := t.last
@@ -184,29 +273,15 @@ func (t *translator) lookup() (uint32, *tblock) {
 		pg = t.pageFor(page)
 		t.last, t.lastPage = pg, page
 	}
+	// Revalidate on every use: a store retired one instruction ago may have
+	// rewritten the bytes this fetch is about to observe.
 	if g := c.Mem.PageGen(page); pg.gen != g {
 		t.resetPage(pg, page, g)
 	}
 	if u := c.user(); u && !pg.okUser || !u && !pg.okKernel {
-		return page, nil
+		return nil, page
 	}
-	off := c.EIP & (mem.PageSize - 1)
-	slot := pg.blocks.At(off)
-	blk := *slot
-	if blk == nil {
-		if t.nblocks >= translateMaxBlocks {
-			t.pages, t.last, t.nblocks = nil, nil, 0
-			return t.lookup()
-		}
-		blk = t.translate(c.EIP, pg.gen)
-		*slot = blk
-		pg.nblocks++
-		t.nblocks++
-		if len(blk.units) > 0 {
-			t.stats.Translated++
-		}
-	}
-	return page, blk
+	return pg, page
 }
 
 func (t *translator) pageFor(page uint32) *tpage {
@@ -221,8 +296,8 @@ func (t *translator) pageFor(page uint32) *tpage {
 	return pg
 }
 
-// resetPage drops a page's blocks and revalidates its fetchability for
-// generation gen.
+// resetPage drops a page's slots and blocks and revalidates its
+// fetchability for generation gen.
 func (t *translator) resetPage(pg *tpage, page uint32, gen uint64) {
 	if pg.nblocks > 0 {
 		t.stats.Invalidations++
@@ -230,9 +305,31 @@ func (t *translator) resetPage(pg *tpage, page uint32, gen uint64) {
 		t.nblocks -= pg.nblocks
 		pg.nblocks = 0
 	}
+	pg.slots.Clear()
 	pg.gen = gen
 	pg.okKernel = t.cpu.Mem.PageFetchable(page, false)
 	pg.okUser = t.cpu.Mem.PageFetchable(page, true)
+}
+
+// decode fills the empty slot sl of addr, in a validated page the current
+// mode can fetch from. Outcomes that depend only on bytes inside the page
+// are cached; a page-straddling instruction leaves the slot empty.
+func (t *translator) decode(sl *tslot, addr uint32) {
+	e := &opTable[t.cpu.Mem.PeekBytes(addr, 1)[0]]
+	if e.op == OpInvalid {
+		sl.state = slotInvalid // determined by byte 0 alone, always in-page
+		return
+	}
+	n := uint32(e.format.Length())
+	if addr&(mem.PageSize-1)+n > mem.PageSize {
+		return
+	}
+	dec, err := Decode(t.cpu.Mem.PeekBytes(addr, n))
+	if err != nil {
+		sl.state = slotInvalid
+		return
+	}
+	sl.inst, sl.cost, sl.state = dec, e.cost, slotValid
 }
 
 // ciscTerminator reports ops that end a basic block: control transfers,
@@ -260,46 +357,30 @@ func opStores(op Op) bool {
 }
 
 // translate decodes the straight-line run starting at addr (whose page is at
-// generation gen) into a block of fused closures. Decoding stops at a block
-// terminator, an undecodable byte, a page-straddling instruction, or the
-// instruction cap; an immediately-undecodable entry yields the negative
-// sentinel so dispatch falls back without re-walking.
+// generation gen) with the slots' decoder into a block of fused closures.
+// Decoding stops at a block terminator, an undecodable byte, a
+// page-straddling instruction, or the instruction cap; an
+// immediately-undecodable entry yields the negative sentinel so dispatch
+// steps without re-walking. The decoded instructions are not kept as slots:
+// code that runs as blocks needs none, and a zero-filled page executed as a
+// slide of two-byte adds would otherwise hold 112 KiB of them.
 func (t *translator) translate(addr uint32, gen uint64) *tblock {
-	c := t.cpu
 	page := addr / mem.PageSize
-	var (
-		ins []Inst
-		pcs []uint32
-	)
+	ins, pcs := t.ins[:0], t.pcs[:0]
 	for len(ins) < translateMaxInstrs {
-		off := addr & (mem.PageSize - 1)
-		b := c.Mem.PeekBytes(addr, 1)
-		if b == nil {
-			break
+		var sl tslot
+		t.decode(&sl, addr)
+		if sl.state != slotValid {
+			break // the step path raises the fault or fetches the straddler
 		}
-		e := &opTable[b[0]]
-		if e.op == OpInvalid {
-			break // undecodable byte: the interpreter raises the fault
-		}
-		n := uint32(e.format.Length())
-		if off+n > mem.PageSize {
-			break // straddler: cross-page fault ordering stays interpreted
-		}
-		raw := c.Mem.PeekBytes(addr, n)
-		if raw == nil {
-			break
-		}
-		dec, err := Decode(raw)
-		if err != nil {
-			break
-		}
-		ins = append(ins, dec)
+		ins = append(ins, sl.inst)
 		pcs = append(pcs, addr)
-		addr += n
-		if ciscTerminator(dec.Op) || addr/mem.PageSize != page {
+		addr += uint32(sl.inst.Len)
+		if ciscTerminator(sl.inst.Op) || addr/mem.PageSize != page {
 			break
 		}
 	}
+	t.ins, t.pcs = ins, pcs
 	if len(ins) == 0 {
 		return untranslatable
 	}

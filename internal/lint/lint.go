@@ -22,10 +22,10 @@
 //     would let a new engine ship half-wired;
 //   - no direct Step calls outside the engine packages: the ExecEngine seam
 //     exists so every instruction retires through exactly one run loop per
-//     engine. A stray core.Step() elsewhere bypasses the selected engine
-//     (and its caches and stats), so only the ISA packages and the registry
-//     may call Step; everyone else drives a platform.ExecEngine via
-//     RunUntil;
+//     engine. A stray core.Step() elsewhere runs the uncached reference
+//     interpreter, bypassing the selected engine's decoded-code cache and
+//     counters, so only the ISA packages and the registry may call Step;
+//     everyone else drives a platform.ExecEngine via RunUntil;
 //   - no platform dispatch outside the registry: comparing or switching on
 //     the platform enum constants (isa.CISC, isa.RISC, kfi.P4, kfi.G4) is
 //     how platform-specific behavior leaked across layers before the

@@ -112,8 +112,8 @@ type Memory struct {
 	dirty    []uint64
 
 	// gens holds the per-page write-generation counters (see gen.go). Unlike
-	// the dirty bitmap they are always on and never reset: the predecode
-	// caches in the execution engines depend on them for invalidation.
+	// the dirty bitmap they are always on and never reset: the translators'
+	// decoded-code caches depend on them for invalidation.
 	gens []uint64
 
 	// sealGen counts Seal calls, so a result derived from one sealed image

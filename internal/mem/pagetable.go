@@ -5,7 +5,7 @@ const tableChunk = 64
 
 // PageTable is a sparse table of up to PageSize entries indexed by an
 // instruction's position in its page (byte offset on CISC, word index on
-// RISC), for the engines' per-page caches of decoded instructions and
+// RISC), for the translators' per-page caches of decoded instructions and
 // translated blocks. Entries are allocated tableChunk at a time on first
 // use, so a page entered at a handful of offsets — the usual case, and the
 // only one when corrupted control flow wanders through data — costs a few

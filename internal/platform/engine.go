@@ -16,11 +16,11 @@ const (
 	// EngineInterp is the reference interpreter: fetch + decode + execute
 	// every step, no caching of decoded instructions.
 	EngineInterp EngineKind = iota + 1
-	// EngineTranslate is the basic-block translator: straight-line guest
-	// code becomes arrays of fused Go closures, keyed per page and
-	// invalidated by memory write-generation counters; anything it cannot
-	// (or must not) run falls back to the interpreter stepping through the
-	// per-page predecode cache.
+	// EngineTranslate is the basic-block translator: it caches decoded
+	// instructions per page and builds straight-line guest code from them
+	// into arrays of fused Go closures, all invalidated by memory
+	// write-generation counters; anything it cannot (or must not) run as a
+	// block it steps through the cached instructions.
 	EngineTranslate
 
 	numEngineKinds

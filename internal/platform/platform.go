@@ -1,7 +1,7 @@
 // Package platform makes the ISA boundary first-class: a Descriptor
 // interface plus a registry that owns everything the rest of the laboratory
-// used to key off the isa.Platform enum — core construction (decoder +
-// predecode cache), boot/exception-delivery semantics, crash staging and
+// used to key off the isa.Platform enum — core construction (decoder and
+// debug unit), boot/exception-delivery semantics, crash staging and
 // kernel-style crash messages, instruction boundaries for code-campaign
 // target generation, snapshot CPU-state codecs, kernel stack geometry, and
 // report labels.
@@ -177,8 +177,8 @@ type Descriptor interface {
 	// Short tag (e.g. "cisc", "ppc").
 	Aliases() []string
 
-	// NewCore builds the platform's CPU (decoder, predecode cache, debug
-	// unit) bound to the given memory.
+	// NewCore builds the platform's CPU (decoder, debug unit) bound to the
+	// given memory.
 	NewCore(m *mem.Memory) Core
 
 	// Engines lists the execution engines the platform supports, in enum

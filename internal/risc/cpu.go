@@ -1,6 +1,8 @@
 package risc
 
 import (
+	"encoding/binary"
+
 	"kfi/internal/isa"
 	"kfi/internal/mem"
 )
@@ -43,16 +45,6 @@ type CPU struct {
 	// illegal-instruction exceptions (paper §5.2, SPR1008).
 	bticValid   bool
 	bticCounter uint32
-
-	// NoPredecode disables the decoded-instruction cache (see icache.go),
-	// forcing the reference fetch+decode sequence on every Step.
-	NoPredecode bool
-
-	// Decoded-instruction cache state; icLast short-circuits the page lookup
-	// while execution stays within one page.
-	icache     map[uint32]*icachePage
-	icLast     *icachePage
-	icLastPage uint32
 
 	// pending data-breakpoint trap.
 	dbSlot   int
@@ -254,29 +246,55 @@ func (c *CPU) branchTo(target uint32) *isa.Event {
 }
 
 // Step executes one instruction (or reports a pending breakpoint/event).
+// It is the reference interpreter: it fetches and decodes every instruction
+// afresh. The translator's single steps run the same three phases, decoding
+// through its per-page slots instead.
 func (c *CPU) Step() isa.Event {
+	if s := c.instrBreak(); s >= 0 {
+		return isa.Event{Kind: isa.EvInstrBreak, Slot: s, BreakAddr: c.PC}
+	}
+	return c.fetchExec()
+}
+
+// instrBreak returns the slot of an instruction breakpoint armed at PC,
+// or -1 after clearing the pending data break for the instruction about to
+// run.
+func (c *CPU) instrBreak() int {
 	if c.Debug.Armed(isa.BreakInstruction) {
 		if s := c.Debug.HitInstruction(c.PC); s >= 0 {
-			return isa.Event{Kind: isa.EvInstrBreak, Slot: s, BreakAddr: c.PC}
+			return s
 		}
 	}
 	c.dbSlot = -1
+	return -1
+}
 
+// fetchExec is the reference fetch+decode sequence followed by retire. A
+// fetch fault or illegal instruction is reported before anything executes.
+func (c *CPU) fetchExec() isa.Event {
 	if c.MSR&MSRIR == 0 {
 		// Instruction translation disabled mid-flight: machine check.
 		return c.exception(isa.CauseMachineCheck, c.PC)
 	}
-	// Fetch+decode, via the predecode cache when enabled (see icache.go).
-	var (
-		in  Inst
-		cst uint8
-	)
-	if fev, ok := c.fetchDecode(&in, &cst); !ok {
-		return fev
+	rawBytes, f := c.Mem.Fetch(c.PC, 4, c.user())
+	if f != nil {
+		if f.Kind == mem.FaultBus {
+			return c.exception(isa.CauseMachineCheck, f.Addr)
+		}
+		return c.exception(isa.CauseBadArea, f.Addr)
 	}
+	dec, err := Decode(binary.BigEndian.Uint32(rawBytes))
+	if err != nil {
+		return c.exception(isa.CauseIllegalInstr, c.PC)
+	}
+	return c.retire(&dec, costOf(dec.Op))
+}
 
+// retire executes a decoded instruction at PC and retires it: clock, trace
+// hook, then any event or data breakpoint it raised.
+func (c *CPU) retire(in *Inst, cst uint8) isa.Event {
 	pc := c.PC
-	ev := c.exec(&in)
+	ev := c.exec(in)
 	if ev.Kind == isa.EvException {
 		return ev
 	}

@@ -1,6 +1,8 @@
 package risc
 
 import (
+	"encoding/binary"
+
 	"kfi/internal/isa"
 	"kfi/internal/mem"
 	"kfi/internal/platform"
@@ -8,20 +10,24 @@ import (
 
 // Basic-block threaded-closure translator (platform.EngineTranslate).
 //
-// Straight-line guest code is decoded once into an array of fused Go
-// closures — a translated basic block — keyed by page and entry word and
-// invalidated by internal/mem's per-page write-generation counters, the same
-// counters that invalidate the predecode cache. The fixed-width stream makes
-// translation simpler than on the CISC core (no length re-synchronization),
-// so the RISC translator leans harder on specialization: most ops compile to
-// closures that capture their operand indices and immediates and skip the
-// exec switch entirely, and maximal runs of fault-free register ops fuse
-// into single closures that retire the PC and clock once for the whole run
+// The translator owns the G4 core's one cache of decoded guest code: per
+// guest page, the instruction decoded at each word a single step ran (a
+// slot) and the block translated from each entry word, all invalidated by
+// internal/mem's per-page write-generation counters. Straight-line guest
+// code becomes an array of fused Go closures — a translated basic block —
+// decoded by the slots' decoder; anything the blocks cannot run takes
+// single steps with CPU.Step's phases, decoding through the slots. The
+// fixed-width stream makes translation
+// simpler than on the CISC core (no length re-synchronization), so the RISC
+// translator leans harder on specialization: most ops compile to closures
+// that capture their operand indices and immediates and skip the exec
+// switch entirely, and maximal runs of fault-free register ops fuse into
+// single closures that retire the PC and clock once for the whole run
 // (legal because nothing inside such a run can fault or raise an event, so
 // no intermediate PC or cycle count is architecturally observable).
 //
 // The soundness argument is the CISC translator's (see
-// internal/cisc/translate.go and DESIGN.md §18), with two extra dispatch
+// internal/cisc/translate.go and DESIGN.md §18), with two extra
 // preconditions owned by this ISA: instruction translation must be on
 // (MSR[IR], otherwise Step machine-checks) and the PC must be word-aligned
 // (unaligned fetches can straddle pages and always take the reference
@@ -40,8 +46,8 @@ type blockUnit struct {
 }
 
 // tblock is one translated basic block. An empty unit list is a negative
-// cache entry: the entry word is undecodable, so dispatch falls back to the
-// interpreter without re-walking.
+// cache entry: the entry word is undecodable, so dispatch steps without
+// re-walking.
 type tblock struct {
 	units  []blockUnit
 	total  uint64 // whole-block cycle cost
@@ -51,27 +57,45 @@ type tblock struct {
 // untranslatable is the shared negative-cache sentinel.
 var untranslatable = &tblock{}
 
-// tpage caches translated blocks for one guest page, keyed by entry word
-// index (every instruction is one aligned 32-bit word).
+// Slot decode states.
+const (
+	slotEmpty uint8 = iota
+	slotValid
+	slotInvalid // an illegal-instruction decode outcome
+)
+
+// tslot is the instruction decoded at one word of a cached page.
+type tslot struct {
+	state uint8
+	cost  uint8
+	inst  Inst
+}
+
+// tpage caches the decoded code of one guest page, keyed by word index
+// (every instruction is one aligned 32-bit word).
 type tpage struct {
-	// gen is the mem generation the blocks were decoded against.
+	// gen is the mem generation the slots and blocks were decoded against.
 	gen uint64
 	// okKernel/okUser record whether instruction fetch succeeds everywhere
 	// in this page for each mode (flags are uniform across a page and cannot
-	// change without a generation bump).
+	// change without a generation bump). When the current mode's flag is
+	// false the page is not used, so faults (bad area vs machine check) are
+	// classified by the reference sequence.
 	okKernel, okUser bool
 	nblocks          int
-	blocks           mem.PageTable[*tblock]
+	slots            mem.PageTable[tslot]   // instructions single steps decoded
+	blocks           mem.PageTable[*tblock] // blocks by entry, nil until first dispatched
 }
 
 const (
-	// translateMaxPages bounds the translator footprint; exceeding it drops
-	// the whole cache (corrupted control flow can execute anywhere).
-	translateMaxPages = 64
-	// translateMaxBlocks bounds the cached blocks across all pages the same
-	// way: the kernel's working set is a few hundred blocks, while a flip
-	// that sends control flow through data translates thousands, and those
-	// would otherwise stay live until their pages change.
+	// translateMaxPages bounds the cache footprint; exceeding it drops the
+	// whole cache (corrupted control flow can execute anywhere).
+	translateMaxPages = 128
+	// translateMaxBlocks bounds the cached blocks across all pages;
+	// exceeding it drops every block but keeps the decoded slots. The
+	// kernel's working set is a few hundred blocks, while a flip that sends
+	// control flow through data translates thousands, and those would
+	// otherwise stay live until their pages change.
 	translateMaxBlocks = 2048
 	// translateMaxInstrs caps a block's instruction count.
 	translateMaxInstrs = 64
@@ -85,14 +109,12 @@ type translator struct {
 	lastPage uint32
 	nblocks  int // cached blocks across all pages
 	stats    platform.EngineStats
+	// ins/pcs are translate's decode buffers, reused across blocks.
+	ins []Inst
+	pcs []uint32
 }
 
-func newTranslator(cpu *CPU) *translator {
-	// Fallback stepping goes through the predecode cache: outcomes are
-	// identical either way and untranslatable stretches stay fast.
-	cpu.SetPredecode(true)
-	return &translator{cpu: cpu}
-}
+func newTranslator(cpu *CPU) *translator { return &translator{cpu: cpu} }
 
 func (t *translator) Kind() platform.EngineKind { return platform.EngineTranslate }
 
@@ -100,65 +122,125 @@ func (t *translator) Stats() platform.EngineStats { return t.stats }
 func (t *translator) ResetStats()                 { t.stats = platform.EngineStats{} }
 
 // RunUntil dispatches translated blocks until the clock reaches limit or an
-// instruction produces an event.
+// instruction produces an event. Where no block may run it takes single
+// steps: CPU.Step's phases, with the decode served from PC's slot.
 func (t *translator) RunUntil(limit uint64) isa.Event {
 	c := t.cpu
 	// Anything the block dispatcher cannot reproduce step-for-step —
-	// instruction or access tracing, armed debug hardware — delegates the
-	// whole call to the interpreter. The armed state only changes between
-	// RunUntil calls (hooks and the injector run with the machine paused),
-	// so checking once up front is exact.
-	if c.Trace != nil || c.Access != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData) {
+	// instruction or access tracing, armed debug hardware — steps the whole
+	// call. The armed state only changes between RunUntil calls (hooks and
+	// the injector run with the machine paused), so checking once up front
+	// is exact.
+	stepOnly := c.Trace != nil || c.Access != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData)
+	if stepOnly {
 		t.stats.Fallbacks++
-		return c.RunUntil(limit)
 	}
 	// Step clears the pending data-break slot before each instruction; with
 	// data breakpoints unarmed no unit can set it, so clearing once here
 	// matches the interpreter's per-step reset.
 	c.dbSlot = -1
 	for c.Clk.Cycles() < limit {
-		page, blk := t.lookup()
-		if blk == nil || len(blk.units) == 0 {
-			t.stats.Fallbacks++
-			if ev := c.Step(); ev.Kind != isa.EvNone {
-				return ev
+		if !stepOnly {
+			page, blk := t.lookup()
+			switch {
+			case blk == nil || len(blk.units) == 0:
+				t.stats.Fallbacks++
+			case c.Clk.Cycles()+blk.total > limit:
+				// The block would overrun the cycle horizon: take one step
+				// and re-dispatch (not a translation failure, so not
+				// counted as a fallback).
+			default:
+				t.stats.Hits++
+				pg := t.last
+				for i := range blk.units {
+					u := &blk.units[i]
+					if ev := u.run(c); ev != nil {
+						return *ev
+					}
+					if u.stores && c.Mem.PageGen(page) != pg.gen {
+						// The guest stored into the executing code page (or
+						// an injected flip landed there): abandon the rest
+						// of the block and re-dispatch at the current PC,
+						// which is exactly the interpreter's refetch.
+						break
+					}
+				}
+				continue
 			}
-			continue
 		}
-		if c.Clk.Cycles()+blk.total > limit {
-			// The block would overrun the cycle horizon: take one
-			// interpreter step and re-dispatch (not a translation failure,
-			// so not counted as a fallback).
-			if ev := c.Step(); ev.Kind != isa.EvNone {
-				return ev
-			}
-			continue
+		if s := c.instrBreak(); s >= 0 {
+			return isa.Event{Kind: isa.EvInstrBreak, Slot: s, BreakAddr: c.PC}
 		}
-		t.stats.Hits++
-		pg := t.last
-		for i := range blk.units {
-			u := &blk.units[i]
-			if ev := u.run(c); ev != nil {
-				return *ev
-			}
-			if u.stores && c.Mem.PageGen(page) != pg.gen {
-				// The guest stored into the executing code page (or an
-				// injected flip landed there): abandon the rest of the
-				// block and re-dispatch at the current PC, which is
-				// exactly the interpreter's refetch.
-				break
-			}
+		var ev isa.Event
+		switch sl := t.slot(); {
+		case sl == nil:
+			ev = c.fetchExec()
+		case sl.state == slotValid:
+			// exec never mutates the Inst, and only the translator itself
+			// rewrites slots, so the slot is executed in place.
+			ev = c.retire(&sl.inst, sl.cost)
+		default:
+			ev = c.exception(isa.CauseIllegalInstr, c.PC)
+		}
+		if ev.Kind != isa.EvNone {
+			return ev
 		}
 	}
 	return isa.Event{}
 }
 
-// lookup validates the page under PC and returns its block (translating on
-// first use), nil when the translator must not run here.
+// slot returns the decoded slot at PC, nil when the reference fetch must
+// serve it instead (see page).
+func (t *translator) slot() *tslot {
+	c := t.cpu
+	pg, _ := t.page()
+	if pg == nil {
+		return nil
+	}
+	sl := pg.slots.At((c.PC & (mem.PageSize - 1)) >> 2)
+	if sl.state == slotEmpty {
+		t.decode(sl, c.PC)
+	}
+	return sl
+}
+
+// lookup returns the block at PC (translating on first use), nil when the
+// translator must not run here.
 func (t *translator) lookup() (uint32, *tblock) {
 	c := t.cpu
+	pg, page := t.page()
+	if pg == nil {
+		return page, nil
+	}
+	entry := pg.blocks.At((c.PC & (mem.PageSize - 1)) >> 2)
+	if *entry == nil {
+		if t.nblocks >= translateMaxBlocks {
+			// Drop every block; the decoded slots stay valid until their
+			// page's generation moves.
+			for _, p := range t.pages {
+				p.blocks.Clear()
+				p.nblocks = 0
+			}
+			t.nblocks = 0
+		}
+		*entry = t.translate(c.PC)
+		pg.nblocks++
+		t.nblocks++
+		if len((*entry).units) > 0 {
+			t.stats.Translated++
+		}
+	}
+	return page, *entry
+}
+
+// page validates the cache page under PC, nil when the slots must not serve
+// this fetch: instruction translation off, an unaligned PC, a PC outside
+// RAM, or a page the current mode cannot fetch everywhere in. The reference
+// sequence then reports the fetch.
+func (t *translator) page() (*tpage, uint32) {
+	c := t.cpu
 	if c.MSR&MSRIR == 0 || c.PC&3 != 0 || c.PC >= c.Mem.Size() {
-		return 0, nil
+		return nil, 0
 	}
 	page := c.PC / mem.PageSize
 	pg := t.last
@@ -166,29 +248,15 @@ func (t *translator) lookup() (uint32, *tblock) {
 		pg = t.pageFor(page)
 		t.last, t.lastPage = pg, page
 	}
+	// Revalidate on every use: a store retired one instruction ago may have
+	// rewritten the word this fetch is about to observe.
 	if g := c.Mem.PageGen(page); pg.gen != g {
 		t.resetPage(pg, page, g)
 	}
 	if u := c.user(); u && !pg.okUser || !u && !pg.okKernel {
-		return page, nil
+		return nil, page
 	}
-	off := (c.PC & (mem.PageSize - 1)) >> 2
-	slot := pg.blocks.At(off)
-	blk := *slot
-	if blk == nil {
-		if t.nblocks >= translateMaxBlocks {
-			t.pages, t.last, t.nblocks = nil, nil, 0
-			return t.lookup()
-		}
-		blk = t.translate(c.PC, page)
-		*slot = blk
-		pg.nblocks++
-		t.nblocks++
-		if len(blk.units) > 0 {
-			t.stats.Translated++
-		}
-	}
-	return page, blk
+	return pg, page
 }
 
 func (t *translator) pageFor(page uint32) *tpage {
@@ -203,8 +271,8 @@ func (t *translator) pageFor(page uint32) *tpage {
 	return pg
 }
 
-// resetPage drops a page's blocks and revalidates its fetchability for
-// generation gen.
+// resetPage drops a page's slots and blocks and revalidates its
+// fetchability for generation gen.
 func (t *translator) resetPage(pg *tpage, page uint32, gen uint64) {
 	if pg.nblocks > 0 {
 		t.stats.Invalidations++
@@ -212,9 +280,21 @@ func (t *translator) resetPage(pg *tpage, page uint32, gen uint64) {
 		t.nblocks -= pg.nblocks
 		pg.nblocks = 0
 	}
+	pg.slots.Clear()
 	pg.gen = gen
 	pg.okKernel = t.cpu.Mem.PageFetchable(page, false)
 	pg.okUser = t.cpu.Mem.PageFetchable(page, true)
+}
+
+// decode fills the empty slot sl of the aligned word addr, in a validated
+// page the current mode can fetch from.
+func (t *translator) decode(sl *tslot, addr uint32) {
+	dec, err := Decode(binary.BigEndian.Uint32(t.cpu.Mem.PeekBytes(addr, 4)))
+	if err != nil {
+		sl.state = slotInvalid
+		return
+	}
+	sl.inst, sl.cost, sl.state = dec, costOf(dec.Op), slotValid
 }
 
 // riscTerminator reports ops that end a basic block: control transfers,
@@ -244,34 +324,29 @@ func opStores(op Op) bool {
 // path.
 func faultEv(ev isa.Event) *isa.Event { return &ev }
 
-// translate decodes the straight-line run starting at addr (word-aligned,
-// inside page) into a block of fused closures. Decoding stops at a block
-// terminator, an undecodable word, the page boundary, or the instruction
-// cap; an immediately-undecodable entry yields the negative sentinel so
-// dispatch falls back without re-walking.
-func (t *translator) translate(addr, page uint32) *tblock {
-	c := t.cpu
-	var (
-		ins []Inst
-		pcs []uint32
-	)
+// translate decodes the straight-line run starting at addr (word-aligned)
+// with the slots' decoder into a block of fused closures. Decoding stops at
+// a block terminator, an undecodable word, the page boundary, or the
+// instruction cap; an immediately-undecodable entry yields the negative
+// sentinel so dispatch steps without re-walking. As on the CISC core the
+// decoded words are not kept as slots: code that runs as blocks needs none.
+func (t *translator) translate(addr uint32) *tblock {
+	page := addr / mem.PageSize
+	ins, pcs := t.ins[:0], t.pcs[:0]
 	for len(ins) < translateMaxInstrs {
-		raw := c.Mem.PeekBytes(addr, 4)
-		if raw == nil {
-			break
+		var sl tslot
+		t.decode(&sl, addr)
+		if sl.state != slotValid {
+			break // illegal word: the step path raises the fault
 		}
-		w := uint32(raw[0])<<24 | uint32(raw[1])<<16 | uint32(raw[2])<<8 | uint32(raw[3])
-		dec, err := Decode(w)
-		if err != nil {
-			break // illegal word: the interpreter raises the fault
-		}
-		ins = append(ins, dec)
+		ins = append(ins, sl.inst)
 		pcs = append(pcs, addr)
 		addr += 4
-		if riscTerminator(dec.Op) || addr/mem.PageSize != page {
+		if riscTerminator(sl.inst.Op) || addr/mem.PageSize != page {
 			break
 		}
 	}
+	t.ins, t.pcs = ins, pcs
 	if len(ins) == 0 {
 		return untranslatable
 	}

@@ -5,7 +5,8 @@
 #
 # Runs build, vet (of the root module and the nested campaignbench/ module),
 # lint, the full test suite, a bounded fuzz of guest RAM against a dense
-# model, the race-detector pass over the concurrent
+# model and of each translator against the reference interpreter, the
+# race-detector pass over the concurrent
 # layer, a campaign -> journal -> report pipeline smoke in a temporary
 # directory, and one iteration of every paper benchmark in bench_test.go
 # (Table/Figure/Ablation/Propagation) as a smoke test. Nothing it runs
@@ -34,6 +35,12 @@ echo "== fuzz: sparse guest RAM against a dense model (bounded)"
 # -fuzzminimizetime bounds the minimization of each new input, which
 # otherwise takes up to a minute of the budget.
 go test ./internal/mem -run '^$' -fuzz '^FuzzDenseModel$' -fuzztime 10s -fuzzminimizetime 1s
+
+echo "== fuzz: translator decoded-code cache against the reference interpreter, per ISA (bounded)"
+# The lockstep harness runs each input armed (stepping through the slots)
+# and unarmed (blocks).
+go test ./internal/cisc -run '^$' -fuzz '^FuzzPredecodeEquivalence$' -fuzztime 5s -fuzzminimizetime 1s
+go test ./internal/risc -run '^$' -fuzz '^FuzzPredecodeEquivalence$' -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== go test -race (campaign + crashnet + ctlplane: the concurrent farm/journal/transport/control-plane layer)"
 # internal/campaign alone takes about 15 minutes under -race on 2 vCPUs
