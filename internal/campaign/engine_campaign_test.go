@@ -28,8 +28,8 @@ func TestEngineCampaignEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k := m.Engine().Kind(); k != platform.EngineTranslate {
-					t.Fatalf("default campaign ran on %v, want translate", k)
+				if ref.Executed > 0 && ref.EngineStats.Zero() {
+					t.Fatalf("default campaign executed %d rows without translator counters", ref.Executed)
 				}
 				if err := m.SetEngine(platform.EngineInterp); err != nil {
 					t.Fatal(err)

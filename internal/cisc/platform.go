@@ -29,6 +29,12 @@ func (descriptor) NewCore(m *mem.Memory) platform.Core {
 	return &coreAdapter{cpu: NewCPU(m), mem: m}
 }
 
+// NewEngine builds the block translator (translate.go) bound to a core this
+// descriptor built.
+func (descriptor) NewEngine(c platform.Core) platform.ExecEngine {
+	return newTranslator(c.(*coreAdapter).cpu)
+}
+
 // BusWindow: the P4 has no unclaimed processor-local bus window — every wild
 // kernel pointer page-faults (paper §5.2).
 func (descriptor) BusWindow() (uint32, uint32, bool) { return 0, 0, false }
@@ -100,13 +106,13 @@ type coreAdapter struct {
 
 var _ platform.Core = (*coreAdapter)(nil)
 
-func (c *coreAdapter) Step() isa.Event { return c.cpu.Step() }
-func (c *coreAdapter) Reset()          { c.cpu.Reset() }
-func (c *coreAdapter) PC() uint32      { return c.cpu.EIP }
-func (c *coreAdapter) SetPC(v uint32)  { c.cpu.EIP = v }
-func (c *coreAdapter) SP() uint32      { return c.cpu.Regs[ESP] }
-func (c *coreAdapter) SetSP(v uint32)  { c.cpu.Regs[ESP] = v }
-func (c *coreAdapter) Mode() isa.Mode  { return c.cpu.Mode }
+func (c *coreAdapter) RunUntil(limit uint64) isa.Event { return c.cpu.RunUntil(limit) }
+func (c *coreAdapter) Reset()                          { c.cpu.Reset() }
+func (c *coreAdapter) PC() uint32                      { return c.cpu.EIP }
+func (c *coreAdapter) SetPC(v uint32)                  { c.cpu.EIP = v }
+func (c *coreAdapter) SP() uint32                      { return c.cpu.Regs[ESP] }
+func (c *coreAdapter) SetSP(v uint32)                  { c.cpu.Regs[ESP] = v }
+func (c *coreAdapter) Mode() isa.Mode                  { return c.cpu.Mode }
 
 func (c *coreAdapter) InterruptsEnabled() bool { return c.cpu.Flags&FlagIF != 0 }
 

@@ -6,18 +6,19 @@ import (
 	"kfi/internal/platform"
 )
 
-// Basic-block threaded-closure translator (platform.EngineTranslate).
+// Basic-block threaded-closure translator, the P4 core's execution engine.
 //
-// The translator owns the P4 core's one cache of decoded guest code: per
-// guest page, the instruction decoded at each byte offset a single step
-// ran (a slot) and the block translated from each entry offset. The CISC
-// stream is variable-length, so any byte can start an instruction, which is
-// exactly what lets an injected bit flip re-synchronize the stream into a
-// different valid sequence. Straight-line guest code becomes an array of
-// fused Go closures — a translated basic block — decoded by the slots'
-// decoder. Anything the blocks cannot run takes single steps with CPU.Step's
-// phases — breakpoint check, decode, retire — decoding through the slots,
-// which fill lazily as offsets are first stepped through.
+// The translator keeps the P4 core's decoded guest code in the shared
+// platform.CodeCache: per guest page, the instruction decoded at each byte
+// offset a single step ran (a slot) and the block translated from each
+// entry offset. The CISC stream is variable-length, so any byte can start
+// an instruction, which is exactly what lets an injected bit flip
+// re-synchronize the stream into a different valid sequence. Straight-line
+// guest code becomes an array of fused Go closures — a translated basic
+// block — decoded by the slots' decoder. Anything the blocks cannot run
+// takes single steps with CPU.Step's phases — breakpoint check, decode,
+// retire — decoding through the slots, which fill lazily as offsets are
+// first stepped through.
 //
 // Every page is validated against internal/mem's per-page write-generation
 // counter before its slots or blocks are used, and any unit that may store
@@ -88,53 +89,27 @@ type tslot struct {
 	inst  Inst
 }
 
-// tpage caches the decoded code of one guest page, keyed by byte offset.
-type tpage struct {
-	// gen is the mem generation the slots and blocks were decoded against.
-	gen uint64
-	// okKernel/okUser record whether instruction fetch succeeds everywhere
-	// in this page for each mode (flags are uniform across a page and cannot
-	// change without a generation bump). When the current mode's flag is
-	// false the page is not used, so the reference sequence reports faults.
-	okKernel, okUser bool
-	nblocks          int
-	slots            mem.PageTable[tslot]   // instructions single steps decoded
-	blocks           mem.PageTable[*tblock] // blocks by entry, nil until first dispatched
-}
-
 const (
-	// translateMaxPages bounds the cache footprint; exceeding it drops the
-	// whole cache (corrupted control flow can execute anywhere).
+	// translateMaxPages is the P4's page bound of the shared code cache.
 	translateMaxPages = 64
-	// translateMaxBlocks bounds the cached blocks across all pages;
-	// exceeding it drops every block but keeps the decoded slots. The
-	// kernel's working set is a few hundred blocks, while a flip that sends
-	// control flow through data translates thousands, and those would
-	// otherwise stay live until their pages change.
-	translateMaxBlocks = 2048
 	// translateMaxInstrs caps a block's instruction count.
 	translateMaxInstrs = 64
 )
 
-// translator is the EngineTranslate implementation for the P4 core.
+// translator is the P4 core's execution engine: its dispatch loop, slot
+// decoding and block building over the shared code cache, keyed by byte
+// offset.
 type translator struct {
-	cpu      *CPU
-	pages    map[uint32]*tpage
-	last     *tpage
-	lastPage uint32
-	nblocks  int // cached blocks across all pages
-	stats    platform.EngineStats
+	cpu *CPU
+	platform.CodeCache[tslot, tblock]
 	// ins/pcs are translate's decode buffers, reused across blocks.
 	ins []Inst
 	pcs []uint32
 }
 
-func newTranslator(cpu *CPU) *translator { return &translator{cpu: cpu} }
-
-func (t *translator) Kind() platform.EngineKind { return platform.EngineTranslate }
-
-func (t *translator) Stats() platform.EngineStats { return t.stats }
-func (t *translator) ResetStats()                 { t.stats = platform.EngineStats{} }
+func newTranslator(cpu *CPU) *translator {
+	return &translator{cpu: cpu, CodeCache: platform.NewCodeCache[tslot, tblock](cpu.Mem, translateMaxPages)}
+}
 
 // faultEv boxes a memory fault into the unit return protocol. Faults end the
 // dispatch (and almost always the run), so the allocation is off the hot path.
@@ -155,7 +130,7 @@ func (t *translator) RunUntil(limit uint64) isa.Event {
 	// is exact.
 	stepOnly := c.Trace != nil || c.Access != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData)
 	if stepOnly {
-		t.stats.Fallbacks++
+		t.Counters.Fallbacks++
 	}
 	// Step clears the pending data-break slot before each instruction; with
 	// data breakpoints unarmed no unit can set it, so clearing once here
@@ -163,23 +138,22 @@ func (t *translator) RunUntil(limit uint64) isa.Event {
 	c.dbSlot = -1
 	for c.Clk.Cycles() < limit {
 		if !stepOnly {
-			page, blk := t.lookup()
+			pg, blk := t.lookup()
 			switch {
 			case blk == nil || len(blk.units) == 0:
-				t.stats.Fallbacks++
+				t.Counters.Fallbacks++
 			case c.Clk.Cycles()+blk.total > limit:
 				// The block would overrun the cycle horizon: take one step
 				// and re-dispatch (not a translation failure, so not
 				// counted as a fallback).
 			default:
-				t.stats.Hits++
-				pg := t.last
+				t.Counters.Hits++
 				for i := range blk.units {
 					u := &blk.units[i]
 					if ev := u.run(c); ev != nil {
 						return *ev
 					}
-					if u.stores && c.Mem.PageGen(page) != pg.gen {
+					if u.stores && t.Stale(pg) {
 						// The guest stored into the executing code page (or
 						// an injected flip landed there): abandon the rest
 						// of the block and re-dispatch at the current EIP,
@@ -212,15 +186,15 @@ func (t *translator) RunUntil(limit uint64) isa.Event {
 }
 
 // slot returns the decoded slot at EIP, nil when the reference fetch must
-// serve it instead: see page, and a page-straddling instruction is never
-// cached.
+// serve it instead: see CodeCache.Page, and a page-straddling instruction
+// is never cached.
 func (t *translator) slot() *tslot {
 	c := t.cpu
-	pg, _ := t.page()
+	pg := t.Page(c.EIP, c.user())
 	if pg == nil {
 		return nil
 	}
-	sl := pg.slots.At(c.EIP & (mem.PageSize - 1))
+	sl := pg.Slot(c.EIP & (mem.PageSize - 1))
 	if sl.state == slotEmpty {
 		t.decode(sl, c.EIP)
 	}
@@ -230,85 +204,24 @@ func (t *translator) slot() *tslot {
 	return sl
 }
 
-// lookup returns the block at EIP (translating on first use), nil when the
-// translator must not run here.
-func (t *translator) lookup() (uint32, *tblock) {
+// lookup returns the block at EIP (translating on first use) and its page,
+// nil when the translator must not run here.
+func (t *translator) lookup() (*platform.CodePage[tslot, tblock], *tblock) {
 	c := t.cpu
-	pg, page := t.page()
+	pg := t.Page(c.EIP, c.user())
 	if pg == nil {
-		return page, nil
+		return nil, nil
 	}
-	entry := pg.blocks.At(c.EIP & (mem.PageSize - 1))
-	if *entry == nil {
-		if t.nblocks >= translateMaxBlocks {
-			// Drop every block; the decoded slots stay valid until their
-			// page's generation moves.
-			for _, p := range t.pages {
-				p.blocks.Clear()
-				p.nblocks = 0
-			}
-			t.nblocks = 0
-		}
-		*entry = t.translate(c.EIP, pg.gen)
-		pg.nblocks++
-		t.nblocks++
-		if len((*entry).units) > 0 {
-			t.stats.Translated++
+	i := c.EIP & (mem.PageSize - 1)
+	blk := pg.Block(i)
+	if blk == nil {
+		blk = t.translate(c.EIP)
+		t.AddBlock(pg, i, blk)
+		if len(blk.units) > 0 {
+			t.Counters.Translated++
 		}
 	}
-	return page, *entry
-}
-
-// page validates the cache page under EIP, nil when EIP is outside RAM or
-// the current mode cannot fetch everywhere in the page; the reference
-// sequence then reports the fetch.
-func (t *translator) page() (*tpage, uint32) {
-	c := t.cpu
-	if c.EIP >= c.Mem.Size() {
-		return nil, 0
-	}
-	page := c.EIP / mem.PageSize
-	pg := t.last
-	if pg == nil || t.lastPage != page {
-		pg = t.pageFor(page)
-		t.last, t.lastPage = pg, page
-	}
-	// Revalidate on every use: a store retired one instruction ago may have
-	// rewritten the bytes this fetch is about to observe.
-	if g := c.Mem.PageGen(page); pg.gen != g {
-		t.resetPage(pg, page, g)
-	}
-	if u := c.user(); u && !pg.okUser || !u && !pg.okKernel {
-		return nil, page
-	}
-	return pg, page
-}
-
-func (t *translator) pageFor(page uint32) *tpage {
-	pg := t.pages[page]
-	if pg == nil {
-		if t.pages == nil || len(t.pages) >= translateMaxPages {
-			t.pages, t.nblocks = make(map[uint32]*tpage, translateMaxPages), 0
-		}
-		pg = &tpage{gen: ^uint64(0)} // impossible generation: reset on first use
-		t.pages[page] = pg
-	}
-	return pg
-}
-
-// resetPage drops a page's slots and blocks and revalidates its
-// fetchability for generation gen.
-func (t *translator) resetPage(pg *tpage, page uint32, gen uint64) {
-	if pg.nblocks > 0 {
-		t.stats.Invalidations++
-		pg.blocks.Clear()
-		t.nblocks -= pg.nblocks
-		pg.nblocks = 0
-	}
-	pg.slots.Clear()
-	pg.gen = gen
-	pg.okKernel = t.cpu.Mem.PageFetchable(page, false)
-	pg.okUser = t.cpu.Mem.PageFetchable(page, true)
+	return pg, blk
 }
 
 // decode fills the empty slot sl of addr, in a validated page the current
@@ -356,16 +269,17 @@ func opStores(op Op) bool {
 	}
 }
 
-// translate decodes the straight-line run starting at addr (whose page is at
-// generation gen) with the slots' decoder into a block of fused closures.
+// translate decodes the straight-line run starting at addr, in a page just
+// validated, with the slots' decoder into a block of fused closures.
 // Decoding stops at a block terminator, an undecodable byte, a
 // page-straddling instruction, or the instruction cap; an
 // immediately-undecodable entry yields the negative sentinel so dispatch
 // steps without re-walking. The decoded instructions are not kept as slots:
 // code that runs as blocks needs none, and a zero-filled page executed as a
 // slide of two-byte adds would otherwise hold 112 KiB of them.
-func (t *translator) translate(addr uint32, gen uint64) *tblock {
+func (t *translator) translate(addr uint32) *tblock {
 	page := addr / mem.PageSize
+	gen := t.cpu.Mem.PageGen(page)
 	ins, pcs := t.ins[:0], t.pcs[:0]
 	for len(ins) < translateMaxInstrs {
 		var sl tslot

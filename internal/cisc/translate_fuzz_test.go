@@ -193,7 +193,7 @@ func runDiff(t *testing.T, rng *rand.Rand, prog []byte, flip, wantTranslated boo
 	if !bytes.Equal(refMem.PeekBytes(0, refMem.Size()), txMem.PeekBytes(0, txMem.Size())) {
 		t.Fatal("memory images diverge")
 	}
-	if wantTranslated && tr.stats.Translated == 0 {
+	if wantTranslated && tr.Counters.Translated == 0 {
 		t.Fatal("translator never translated a block — the fuzzer is only testing fallback paths")
 	}
 }

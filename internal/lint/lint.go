@@ -22,10 +22,10 @@
 //     would let a new engine ship half-wired;
 //   - no direct Step calls outside the engine packages: the ExecEngine seam
 //     exists so every instruction retires through exactly one run loop per
-//     engine. A stray core.Step() elsewhere runs the uncached reference
+//     engine. A stray Step() elsewhere runs the uncached reference
 //     interpreter, bypassing the selected engine's decoded-code cache and
-//     counters, so only the ISA packages and the registry may call Step;
-//     everyone else drives a platform.ExecEngine via RunUntil;
+//     counters, so only the ISA packages may call Step; everyone else
+//     drives a platform.ExecEngine via RunUntil;
 //   - no platform dispatch outside the registry: comparing or switching on
 //     the platform enum constants (isa.CISC, isa.RISC, kfi.P4, kfi.G4) is
 //     how platform-specific behavior leaked across layers before the
@@ -104,13 +104,12 @@ const classSource = "internal/staticsense/staticsense.go"
 const engineSource = "internal/platform/engine.go"
 
 // stepCallDirs are the packages allowed to call a Step method directly: the
-// two ISA implementations (whose run loops and translators are the engines)
-// and the registry that defines the Core interface. Everywhere else must
-// drive execution through a platform.ExecEngine.
+// two ISA implementations, whose reference loops and translators are the
+// engines. Everywhere else must drive execution through a
+// platform.ExecEngine.
 var stepCallDirs = []string{
 	"internal/cisc",
 	"internal/risc",
-	"internal/platform",
 }
 
 // platformDispatchDirs are the packages allowed to branch on the platform

@@ -216,11 +216,7 @@ func New(cfg Config) (*Machine, error) {
 
 	mach := &Machine{cfg: cfg, Mem: m, desc: desc}
 	mach.core = desc.NewCore(m)
-	eng, err := desc.NewEngine(platform.DefaultEngine(desc), mach.core)
-	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	mach.engine = eng
+	mach.engine = desc.NewEngine(mach.core)
 	mach.resetCPUState()
 	return mach, nil
 }
@@ -231,28 +227,35 @@ func (ma *Machine) Core() Core { return ma.core }
 // Engine returns the active execution engine.
 func (ma *Machine) Engine() platform.ExecEngine { return ma.engine }
 
-// SetEngine replaces the execution engine. The zero kind selects the
-// platform default, the translator. The reference interpreter is reachable
-// only through here, for the equivalence tests and benchmarks; both engines
-// are observationally equivalent, so switching never changes run outcomes —
-// only throughput.
+// SetEngine selects the execution engine: the platform's translator for
+// EngineTranslate or the zero kind, the reference interpreter
+// (Core.RunUntil) for EngineInterp. The reference is reachable only through
+// here, for the equivalence tests and benchmarks; both engines are
+// observationally equivalent, so switching never changes run outcomes —
+// only throughput. Reselecting the current engine keeps it, counters and
+// decoded-code cache included.
 func (ma *Machine) SetEngine(kind platform.EngineKind) error {
-	if kind == 0 {
-		kind = platform.DefaultEngine(ma.desc)
+	_, onRef := ma.engine.(reference)
+	switch kind {
+	case 0, platform.EngineTranslate:
+		if onRef {
+			ma.engine = ma.desc.NewEngine(ma.core)
+		}
+	case platform.EngineInterp:
+		ma.engine = reference{ma.core}
+	default:
+		return fmt.Errorf("machine: unknown engine %v", kind)
 	}
-	if kind == ma.engine.Kind() {
-		return nil
-	}
-	if !platform.SupportsEngine(ma.desc, kind) {
-		return fmt.Errorf("machine: platform %v does not support engine %v", ma.cfg.Platform, kind)
-	}
-	eng, err := ma.desc.NewEngine(kind, ma.core)
-	if err != nil {
-		return fmt.Errorf("machine: %w", err)
-	}
-	ma.engine = eng
 	return nil
 }
+
+// reference is the reference-interpreter engine: the core's own RunUntil,
+// which fetches and decodes every step and keeps no counters.
+type reference struct{ core Core }
+
+func (r reference) RunUntil(limit uint64) isa.Event { return r.core.RunUntil(limit) }
+func (reference) Stats() platform.EngineStats       { return platform.EngineStats{} }
+func (reference) ResetStats()                       {}
 
 // Config returns the machine configuration.
 func (ma *Machine) Config() Config { return ma.cfg }

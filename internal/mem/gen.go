@@ -7,12 +7,13 @@ package mem
 // restores, reboots, and page-protection changes — advances that page's
 // generation. The counters are monotone and never reset, so a consumer that
 // recorded a page's generation can later detect *any* intervening mutation
-// with one compare. The translators in internal/cisc and internal/risc are
-// the consumers: they revalidate a page's decoded instructions and blocks
-// against its generation on every step and dispatch, which is what keeps a bit
-// flip injected into kernel code (including a CISC flip that re-synchronizes
-// the variable-length stream into a different valid instruction sequence)
-// observable exactly as in an uncached interpreter.
+// with one compare. The decoded-code cache both translators share
+// (platform.CodeCache) is the consumer: it revalidates a page's decoded
+// instructions and blocks against its generation on every step and
+// dispatch, which is what keeps a bit flip injected into kernel code
+// (including a CISC flip that re-synchronizes the variable-length stream
+// into a different valid instruction sequence) observable exactly as in an
+// uncached interpreter.
 
 // PageGen returns the write-generation counter of the given page index.
 // It panics for out-of-range pages; callers index pages they have already

@@ -5,12 +5,13 @@ const tableChunk = 64
 
 // PageTable is a sparse table of up to PageSize entries indexed by an
 // instruction's position in its page (byte offset on CISC, word index on
-// RISC), for the translators' per-page caches of decoded instructions and
-// translated blocks. Entries are allocated tableChunk at a time on first
-// use, so a page entered at a handful of offsets — the usual case, and the
-// only one when corrupted control flow wanders through data — costs a few
-// hundred bytes rather than a full PageSize-entry array. A cache's footprint
-// then follows the code it ran, not the number of pages it touched.
+// RISC), for the per-page decoded instructions and translated blocks of the
+// translators' shared code cache (platform.CodeCache). Entries are
+// allocated tableChunk at a time on first use, so a page entered at a
+// handful of offsets — the usual case, and the only one when corrupted
+// control flow wanders through data — costs a few hundred bytes rather than
+// a full PageSize-entry array. A cache's footprint then follows the code it
+// ran, not the number of pages it touched.
 type PageTable[T any] struct {
 	chunks [PageSize / tableChunk]*[tableChunk]T
 }

@@ -75,10 +75,12 @@ type CPUState any
 // layer. Adapters are thin; everything architectural stays in the ISA
 // packages.
 type Core interface {
-	// Step executes exactly one instruction. Only execution engines (the
-	// ISA packages' ExecEngine implementations) may call it; every other
-	// layer batches through ExecEngine.RunUntil — a rule kfi-lint enforces.
-	Step() isa.Event
+	// RunUntil is the reference interpreter: it fetches, decodes and
+	// executes one instruction at a time until the clock reaches limit or an
+	// instruction produces an event, with the ExecEngine.RunUntil contract.
+	// The machine reaches it only as the engine Machine.SetEngine selects
+	// for the equivalence tests.
+	RunUntil(limit uint64) isa.Event
 	Reset()
 
 	PC() uint32
@@ -161,7 +163,7 @@ type Core interface {
 	// and stores, interrupt-frame pushes included, and every raw host-glue
 	// access to the core's memory (context save/restore, stack lookups),
 	// which the debug unit's data breakpoints cannot see. Like SetTrace it
-	// runs the core on the interpreter while installed.
+	// makes the translator take single steps while installed.
 	SetAccessTrace(fn func(addr, size uint32))
 	PendingDataBreak() (slot int, access isa.DataAccess, addr uint32, ok bool)
 }
@@ -181,13 +183,9 @@ type Descriptor interface {
 	// given memory.
 	NewCore(m *mem.Memory) Core
 
-	// Engines lists the execution engines the platform supports, in enum
-	// order. Every platform must support EngineInterp (the reference
-	// interpreter); the registry rejects descriptors that don't.
-	Engines() []EngineKind
-	// NewEngine builds the given engine bound to a core this descriptor
-	// built. It fails on kinds absent from Engines().
-	NewEngine(kind EngineKind, c Core) (ExecEngine, error)
+	// NewEngine builds the platform's translator bound to a core this
+	// descriptor built.
+	NewEngine(c Core) ExecEngine
 
 	// BusWindow returns the platform's unclaimed processor-local bus
 	// window, in which accesses machine-check rather than page-fault

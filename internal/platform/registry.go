@@ -32,22 +32,6 @@ func Register(d Descriptor) {
 	if _, ok := descriptors[p]; ok {
 		panic(fmt.Sprintf("platform: duplicate descriptor for %v", p))
 	}
-	engines := d.Engines()
-	if len(engines) == 0 {
-		panic(fmt.Sprintf("platform: %v registers no execution engines", p))
-	}
-	hasInterp := false
-	for _, k := range engines {
-		if k == EngineInterp {
-			hasInterp = true
-		}
-		if k < EngineInterp || k >= numEngineKinds {
-			panic(fmt.Sprintf("platform: %v registers unknown engine kind %d", p, int(k)))
-		}
-	}
-	if !hasInterp {
-		panic(fmt.Sprintf("platform: %v does not support the reference interpreter engine", p))
-	}
 	names := append([]string{p.Short()}, d.Aliases()...)
 	for _, n := range names {
 		n = strings.ToLower(n)

@@ -77,25 +77,14 @@ func (toyDescriptor) NewCore(m *mem.Memory) platform.Core {
 	return c
 }
 
-func (toyDescriptor) Engines() []platform.EngineKind {
-	return []platform.EngineKind{platform.EngineInterp}
+// NewEngine builds the toy's sole engine: it has no translator, so the
+// engine is its reference interpreter loop.
+func (toyDescriptor) NewEngine(core platform.Core) platform.ExecEngine {
+	return toyEngine{core.(*toyCore)}
 }
 
-func (toyDescriptor) NewEngine(kind platform.EngineKind, core platform.Core) (platform.ExecEngine, error) {
-	c, ok := core.(*toyCore)
-	if !ok {
-		return nil, fmt.Errorf("toy: engine %v requires a toy core, got %T", kind, core)
-	}
-	if kind != platform.EngineInterp {
-		return nil, fmt.Errorf("toy: unsupported engine %v", kind)
-	}
-	return toyEngine{c}, nil
-}
-
-// toyEngine is the toy platform's sole engine: the interpreter loop.
 type toyEngine struct{ c *toyCore }
 
-func (e toyEngine) Kind() platform.EngineKind       { return platform.EngineInterp }
 func (e toyEngine) RunUntil(limit uint64) isa.Event { return e.c.RunUntil(limit) }
 func (e toyEngine) Stats() platform.EngineStats     { return platform.EngineStats{} }
 func (e toyEngine) ResetStats()                     {}

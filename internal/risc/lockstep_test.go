@@ -93,10 +93,10 @@ func lockstep(t *testing.T, code []byte, n int, mutate func(rung int, m *mem.Mem
 				}
 				rung(t, i, ref, tr)
 			}
-			if armed && tr.stats.Hits != 0 {
-				t.Errorf("armed run dispatched %d blocks; it must only step", tr.stats.Hits)
+			if armed && tr.Counters.Hits != 0 {
+				t.Errorf("armed run dispatched %d blocks; it must only step", tr.Counters.Hits)
 			}
-			if !armed && wantBlocks && tr.stats.Hits == 0 {
+			if !armed && wantBlocks && tr.Counters.Hits == 0 {
 				t.Error("unarmed run dispatched no block; the schedule only tests stepping")
 			}
 		})
@@ -174,19 +174,19 @@ func TestLockstepFlipAcrossPaths(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				rung(t, i, ref, tr)
 			}
-			if tr.stats.Translated == 0 || tr.stats.Hits == 0 {
-				t.Fatalf("no block ran before arming: %+v", tr.stats)
+			if tr.Counters.Translated == 0 || tr.Counters.Hits == 0 {
+				t.Fatalf("no block ran before arming: %+v", tr.Counters)
 			}
 			armWatch(ref)
 			armWatch(tr.cpu)
 			addr := lsBase + 12 + uint32(3-bit/8) // the lwz
 			ref.Mem.FlipBit(addr, bit%8)
 			tr.cpu.Mem.FlipBit(addr, bit%8)
-			hits := tr.stats.Hits
+			hits := tr.Counters.Hits
 			for i := 200; i < 400; i++ {
 				rung(t, i, ref, tr)
 			}
-			if tr.stats.Hits != hits {
+			if tr.Counters.Hits != hits {
 				t.Fatal("armed run dispatched a block")
 			}
 		})

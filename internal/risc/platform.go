@@ -50,6 +50,12 @@ func (descriptor) NewCore(m *mem.Memory) platform.Core {
 	return &coreAdapter{cpu: NewCPU(m), mem: m}
 }
 
+// NewEngine builds the block translator (translate.go) bound to a core this
+// descriptor built.
+func (descriptor) NewEngine(c platform.Core) platform.ExecEngine {
+	return newTranslator(c.(*coreAdapter).cpu)
+}
+
 // BusWindow: the G4's processor-local bus hangs (machine check) only in this
 // unclaimed window; other wild kernel pointers fault as "kernel access of a
 // bad area" (paper §5.2).
@@ -117,13 +123,13 @@ type coreAdapter struct {
 
 var _ platform.Core = (*coreAdapter)(nil)
 
-func (c *coreAdapter) Step() isa.Event { return c.cpu.Step() }
-func (c *coreAdapter) Reset()          { c.cpu.Reset() }
-func (c *coreAdapter) PC() uint32      { return c.cpu.PC }
-func (c *coreAdapter) SetPC(v uint32)  { c.cpu.PC = v }
-func (c *coreAdapter) SP() uint32      { return c.cpu.R[SP] }
-func (c *coreAdapter) SetSP(v uint32)  { c.cpu.R[SP] = v }
-func (c *coreAdapter) Mode() isa.Mode  { return c.cpu.Mode() }
+func (c *coreAdapter) RunUntil(limit uint64) isa.Event { return c.cpu.RunUntil(limit) }
+func (c *coreAdapter) Reset()                          { c.cpu.Reset() }
+func (c *coreAdapter) PC() uint32                      { return c.cpu.PC }
+func (c *coreAdapter) SetPC(v uint32)                  { c.cpu.PC = v }
+func (c *coreAdapter) SP() uint32                      { return c.cpu.R[SP] }
+func (c *coreAdapter) SetSP(v uint32)                  { c.cpu.R[SP] = v }
+func (c *coreAdapter) Mode() isa.Mode                  { return c.cpu.Mode() }
 
 func (c *coreAdapter) InterruptsEnabled() bool { return c.cpu.InterruptsEnabled() }
 

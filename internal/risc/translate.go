@@ -8,23 +8,23 @@ import (
 	"kfi/internal/platform"
 )
 
-// Basic-block threaded-closure translator (platform.EngineTranslate).
+// Basic-block threaded-closure translator, the G4 core's execution engine.
 //
-// The translator owns the G4 core's one cache of decoded guest code: per
-// guest page, the instruction decoded at each word a single step ran (a
-// slot) and the block translated from each entry word, all invalidated by
-// internal/mem's per-page write-generation counters. Straight-line guest
-// code becomes an array of fused Go closures — a translated basic block —
-// decoded by the slots' decoder; anything the blocks cannot run takes
-// single steps with CPU.Step's phases, decoding through the slots. The
-// fixed-width stream makes translation
-// simpler than on the CISC core (no length re-synchronization), so the RISC
-// translator leans harder on specialization: most ops compile to closures
-// that capture their operand indices and immediates and skip the exec
-// switch entirely, and maximal runs of fault-free register ops fuse into
-// single closures that retire the PC and clock once for the whole run
-// (legal because nothing inside such a run can fault or raise an event, so
-// no intermediate PC or cycle count is architecturally observable).
+// The translator keeps the G4 core's decoded guest code in the shared
+// platform.CodeCache: per guest page, the instruction decoded at each word
+// a single step ran (a slot) and the block translated from each entry word,
+// all invalidated by internal/mem's per-page write-generation counters.
+// Straight-line guest code becomes an array of fused Go closures — a
+// translated basic block — decoded by the slots' decoder; anything the
+// blocks cannot run takes single steps with CPU.Step's phases, decoding
+// through the slots. The fixed-width stream makes translation simpler than
+// on the CISC core (no length re-synchronization), so the RISC translator
+// leans harder on specialization: most ops compile to closures that capture
+// their operand indices and immediates and skip the exec switch entirely,
+// and maximal runs of fault-free register ops fuse into single closures
+// that retire the PC and clock once for the whole run (legal because
+// nothing inside such a run can fault or raise an event, so no
+// intermediate PC or cycle count is architecturally observable).
 //
 // The soundness argument is the CISC translator's (see
 // internal/cisc/translate.go and DESIGN.md §18), with two extra
@@ -71,55 +71,27 @@ type tslot struct {
 	inst  Inst
 }
 
-// tpage caches the decoded code of one guest page, keyed by word index
-// (every instruction is one aligned 32-bit word).
-type tpage struct {
-	// gen is the mem generation the slots and blocks were decoded against.
-	gen uint64
-	// okKernel/okUser record whether instruction fetch succeeds everywhere
-	// in this page for each mode (flags are uniform across a page and cannot
-	// change without a generation bump). When the current mode's flag is
-	// false the page is not used, so faults (bad area vs machine check) are
-	// classified by the reference sequence.
-	okKernel, okUser bool
-	nblocks          int
-	slots            mem.PageTable[tslot]   // instructions single steps decoded
-	blocks           mem.PageTable[*tblock] // blocks by entry, nil until first dispatched
-}
-
 const (
-	// translateMaxPages bounds the cache footprint; exceeding it drops the
-	// whole cache (corrupted control flow can execute anywhere).
+	// translateMaxPages is the G4's page bound of the shared code cache.
 	translateMaxPages = 128
-	// translateMaxBlocks bounds the cached blocks across all pages;
-	// exceeding it drops every block but keeps the decoded slots. The
-	// kernel's working set is a few hundred blocks, while a flip that sends
-	// control flow through data translates thousands, and those would
-	// otherwise stay live until their pages change.
-	translateMaxBlocks = 2048
 	// translateMaxInstrs caps a block's instruction count.
 	translateMaxInstrs = 64
 )
 
-// translator is the EngineTranslate implementation for the G4 core.
+// translator is the G4 core's execution engine: its dispatch loop, slot
+// decoding and block building over the shared code cache, keyed by word
+// index (every instruction is one aligned 32-bit word).
 type translator struct {
-	cpu      *CPU
-	pages    map[uint32]*tpage
-	last     *tpage
-	lastPage uint32
-	nblocks  int // cached blocks across all pages
-	stats    platform.EngineStats
+	cpu *CPU
+	platform.CodeCache[tslot, tblock]
 	// ins/pcs are translate's decode buffers, reused across blocks.
 	ins []Inst
 	pcs []uint32
 }
 
-func newTranslator(cpu *CPU) *translator { return &translator{cpu: cpu} }
-
-func (t *translator) Kind() platform.EngineKind { return platform.EngineTranslate }
-
-func (t *translator) Stats() platform.EngineStats { return t.stats }
-func (t *translator) ResetStats()                 { t.stats = platform.EngineStats{} }
+func newTranslator(cpu *CPU) *translator {
+	return &translator{cpu: cpu, CodeCache: platform.NewCodeCache[tslot, tblock](cpu.Mem, translateMaxPages)}
+}
 
 // RunUntil dispatches translated blocks until the clock reaches limit or an
 // instruction produces an event. Where no block may run it takes single
@@ -133,7 +105,7 @@ func (t *translator) RunUntil(limit uint64) isa.Event {
 	// is exact.
 	stepOnly := c.Trace != nil || c.Access != nil || c.Debug.Armed(isa.BreakInstruction) || c.Debug.Armed(isa.BreakData)
 	if stepOnly {
-		t.stats.Fallbacks++
+		t.Counters.Fallbacks++
 	}
 	// Step clears the pending data-break slot before each instruction; with
 	// data breakpoints unarmed no unit can set it, so clearing once here
@@ -141,23 +113,22 @@ func (t *translator) RunUntil(limit uint64) isa.Event {
 	c.dbSlot = -1
 	for c.Clk.Cycles() < limit {
 		if !stepOnly {
-			page, blk := t.lookup()
+			pg, blk := t.lookup()
 			switch {
 			case blk == nil || len(blk.units) == 0:
-				t.stats.Fallbacks++
+				t.Counters.Fallbacks++
 			case c.Clk.Cycles()+blk.total > limit:
 				// The block would overrun the cycle horizon: take one step
 				// and re-dispatch (not a translation failure, so not
 				// counted as a fallback).
 			default:
-				t.stats.Hits++
-				pg := t.last
+				t.Counters.Hits++
 				for i := range blk.units {
 					u := &blk.units[i]
 					if ev := u.run(c); ev != nil {
 						return *ev
 					}
-					if u.stores && c.Mem.PageGen(page) != pg.gen {
+					if u.stores && t.Stale(pg) {
 						// The guest stored into the executing code page (or
 						// an injected flip landed there): abandon the rest
 						// of the block and re-dispatch at the current PC,
@@ -193,97 +164,47 @@ func (t *translator) RunUntil(limit uint64) isa.Event {
 // serve it instead (see page).
 func (t *translator) slot() *tslot {
 	c := t.cpu
-	pg, _ := t.page()
+	pg := t.page()
 	if pg == nil {
 		return nil
 	}
-	sl := pg.slots.At((c.PC & (mem.PageSize - 1)) >> 2)
+	sl := pg.Slot((c.PC & (mem.PageSize - 1)) >> 2)
 	if sl.state == slotEmpty {
 		t.decode(sl, c.PC)
 	}
 	return sl
 }
 
-// lookup returns the block at PC (translating on first use), nil when the
-// translator must not run here.
-func (t *translator) lookup() (uint32, *tblock) {
+// lookup returns the block at PC (translating on first use) and its page,
+// nil when the translator must not run here.
+func (t *translator) lookup() (*platform.CodePage[tslot, tblock], *tblock) {
 	c := t.cpu
-	pg, page := t.page()
+	pg := t.page()
 	if pg == nil {
-		return page, nil
+		return nil, nil
 	}
-	entry := pg.blocks.At((c.PC & (mem.PageSize - 1)) >> 2)
-	if *entry == nil {
-		if t.nblocks >= translateMaxBlocks {
-			// Drop every block; the decoded slots stay valid until their
-			// page's generation moves.
-			for _, p := range t.pages {
-				p.blocks.Clear()
-				p.nblocks = 0
-			}
-			t.nblocks = 0
-		}
-		*entry = t.translate(c.PC)
-		pg.nblocks++
-		t.nblocks++
-		if len((*entry).units) > 0 {
-			t.stats.Translated++
+	i := (c.PC & (mem.PageSize - 1)) >> 2
+	blk := pg.Block(i)
+	if blk == nil {
+		blk = t.translate(c.PC)
+		t.AddBlock(pg, i, blk)
+		if len(blk.units) > 0 {
+			t.Counters.Translated++
 		}
 	}
-	return page, *entry
+	return pg, blk
 }
 
-// page validates the cache page under PC, nil when the slots must not serve
-// this fetch: instruction translation off, an unaligned PC, a PC outside
-// RAM, or a page the current mode cannot fetch everywhere in. The reference
-// sequence then reports the fetch.
-func (t *translator) page() (*tpage, uint32) {
+// page returns the validated cache page under PC, nil when the slots must
+// not serve this fetch: instruction translation off (MSR[IR] clear, so Step
+// machine-checks), an unaligned PC (the fetch can straddle pages), or see
+// CodeCache.Page. The reference sequence then reports the fetch.
+func (t *translator) page() *platform.CodePage[tslot, tblock] {
 	c := t.cpu
-	if c.MSR&MSRIR == 0 || c.PC&3 != 0 || c.PC >= c.Mem.Size() {
-		return nil, 0
+	if c.MSR&MSRIR == 0 || c.PC&3 != 0 {
+		return nil
 	}
-	page := c.PC / mem.PageSize
-	pg := t.last
-	if pg == nil || t.lastPage != page {
-		pg = t.pageFor(page)
-		t.last, t.lastPage = pg, page
-	}
-	// Revalidate on every use: a store retired one instruction ago may have
-	// rewritten the word this fetch is about to observe.
-	if g := c.Mem.PageGen(page); pg.gen != g {
-		t.resetPage(pg, page, g)
-	}
-	if u := c.user(); u && !pg.okUser || !u && !pg.okKernel {
-		return nil, page
-	}
-	return pg, page
-}
-
-func (t *translator) pageFor(page uint32) *tpage {
-	pg := t.pages[page]
-	if pg == nil {
-		if t.pages == nil || len(t.pages) >= translateMaxPages {
-			t.pages, t.nblocks = make(map[uint32]*tpage, translateMaxPages), 0
-		}
-		pg = &tpage{gen: ^uint64(0)} // impossible generation: reset on first use
-		t.pages[page] = pg
-	}
-	return pg
-}
-
-// resetPage drops a page's slots and blocks and revalidates its
-// fetchability for generation gen.
-func (t *translator) resetPage(pg *tpage, page uint32, gen uint64) {
-	if pg.nblocks > 0 {
-		t.stats.Invalidations++
-		pg.blocks.Clear()
-		t.nblocks -= pg.nblocks
-		pg.nblocks = 0
-	}
-	pg.slots.Clear()
-	pg.gen = gen
-	pg.okKernel = t.cpu.Mem.PageFetchable(page, false)
-	pg.okUser = t.cpu.Mem.PageFetchable(page, true)
+	return t.Page(c.PC, c.user())
 }
 
 // decode fills the empty slot sl of the aligned word addr, in a validated
