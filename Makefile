@@ -22,11 +22,11 @@ lint:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent farm/journal/transport/control-plane
-# layer; internal/campaign takes about 15 minutes under -race on 2 vCPUs,
-# past go test's 10-minute default.
+# Race-detector pass over the concurrent farm/journal/transport layer;
+# internal/campaign takes about 15 minutes under -race on 2 vCPUs, past go
+# test's 10-minute default.
 race:
-	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
+	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/...
 
 # Tier-1 gate + pipeline and paper-benchmark smoke runs (see scripts/verify.sh).
 verify:

@@ -10,13 +10,6 @@
 //	kfi-campaign -platform p4 -campaign code -n 1790 -journal runs/
 //	kfi-report runs/
 //	kfi-campaign -paper-fraction 0.05    # 5% of the paper's 115k injections
-//
-// With -submit, the same flags describe campaigns handed to a ctlplane
-// coordinator instead of run locally; worker machines started with
-// `kfi-ctl work` execute them, and the derived per-(platform, campaign)
-// seeds match a local run of the same flags exactly:
-//
-//	kfi-campaign -submit -coordinator 127.0.0.1:9380 -platform both -campaign all -n 300
 package main
 
 import (
@@ -31,7 +24,6 @@ import (
 	"kfi/internal/cli"
 	"kfi/internal/core"
 	"kfi/internal/crashnet"
-	"kfi/internal/ctlplane"
 	"kfi/internal/stats"
 )
 
@@ -64,8 +56,6 @@ func run(args []string) error {
 		nodes        = fs.Int("nodes", 0, "parallel guest systems per platform (0 = one per host CPU)")
 		cpuprofile   = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile   = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		submit       = fs.Bool("submit", false, "submit the campaigns to a ctlplane coordinator instead of running locally")
-		coordinator  = fs.String("coordinator", "", "coordinator base URL for -submit")
 		harden       = fs.String("harden", "", "build the guest kernel with software fault-detection passes: dup, cfsig, dup+cfsig, or all")
 		hardenStudy  = fs.Bool("harden-study", false, "run matched hardened/unhardened campaigns from the same injection plan and print the detection-coverage table (requires -harden)")
 	)
@@ -92,64 +82,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *hardenStudy {
-		if !hardenOpts.Enabled() {
-			return fmt.Errorf("-harden-study requires -harden (e.g. -harden dup+cfsig)")
-		}
-		if *submit {
-			return fmt.Errorf("-harden-study runs locally; submit the hardened and unhardened campaigns separately instead")
-		}
-		return runHardenStudy(platforms, campaigns, hardenOpts, *n, *seed, *scale, uint8(*burst), *quiet)
-	}
-	if *submit {
-		// The submitted spec carries none of these, so a worker would
-		// silently run without them.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"sense", *sense},
-			{"section-cache", *secCache != ""},
-			{"journal", *journalDir != ""},
-			{"resume", *resume},
-		} {
-			if f.set {
-				return fmt.Errorf("-%s runs locally only; -submit does not pass it to the coordinator", f.name)
-			}
-		}
-		if *coordinator == "" {
-			return fmt.Errorf("-submit requires -coordinator")
-		}
-		if *n <= 0 {
-			return fmt.Errorf("-submit requires an explicit -n (the coordinator does not scale paper sizes)")
-		}
-		client, err := ctlplane.NewClient(*coordinator)
-		if err != nil {
-			return fmt.Errorf("-coordinator: %w", err)
-		}
-		for _, p := range platforms {
-			for _, c := range campaigns {
-				spec := ctlplane.SpecFor(p, c, *n, *seed, uint8(*burst), *scale, *retries, hardenOpts)
-				st, err := client.Submit(spec)
-				if err != nil {
-					return fmt.Errorf("submitting %v %v: %w", p, c, err)
-				}
-				fmt.Printf("submitted %-28s %-16s %-18s n=%-6d state=%s\n",
-					st.ID, p.Short(), c, *n, st.State)
-			}
-		}
-		fmt.Printf("watch with: kfi-ctl status -coordinator %s\n", client.Base)
-		return nil
-	} else if *coordinator != "" {
-		return fmt.Errorf("-coordinator requires -submit")
-	}
-
-	counts := map[kfi.Campaign]int{}
-	if *n > 0 {
-		for _, c := range campaigns {
-			counts[c] = *n
-		}
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -172,6 +104,38 @@ func run(args []string) error {
 			pprof.WriteHeapProfile(f)
 			f.Close()
 		}()
+	}
+
+	if *hardenStudy {
+		if !hardenOpts.Enabled() {
+			return fmt.Errorf("-harden-study requires -harden (e.g. -harden dup+cfsig)")
+		}
+		// The study builds its own matched campaigns from -n, -seed,
+		// -scale and -burst; it would silently run without these.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"journal", *journalDir != ""},
+			{"resume", *resume},
+			{"sense", *sense},
+			{"section-cache", *secCache != ""},
+			{"paper-fraction", *paperFrac != 0},
+			{"crashnet", *crashAddr != ""},
+			{"retries", *retries != 0},
+		} {
+			if f.set {
+				return fmt.Errorf("-%s does not apply to -harden-study", f.name)
+			}
+		}
+		return runHardenStudy(platforms, campaigns, hardenOpts, *n, *seed, *scale, uint8(*burst), *quiet)
+	}
+
+	counts := map[kfi.Campaign]int{}
+	if *n > 0 {
+		for _, c := range campaigns {
+			counts[c] = *n
+		}
 	}
 
 	if *nodes <= 0 {

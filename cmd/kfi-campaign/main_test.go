@@ -31,49 +31,39 @@ func TestParseCampaigns(t *testing.T) {
 	}
 }
 
-func TestSubmitFlagValidation(t *testing.T) {
-	if err := run([]string{"-submit", "-platform", "p4", "-campaign", "code", "-n", "5"}); err == nil {
-		t.Error("-submit without -coordinator accepted")
-	}
-	if err := run([]string{"-submit", "-coordinator", "127.0.0.1:9380",
-		"-platform", "p4", "-campaign", "code"}); err == nil {
-		t.Error("-submit without -n accepted")
-	}
-	if err := run([]string{"-submit", "-coordinator", "ftp://x",
-		"-platform", "p4", "-campaign", "code", "-n", "5"}); err == nil {
-		t.Error("non-http coordinator URL accepted")
-	}
-	if err := run([]string{"-coordinator", "127.0.0.1:9380",
-		"-platform", "p4", "-campaign", "code", "-n", "5"}); err == nil {
-		t.Error("-coordinator without -submit accepted")
-	}
-	// Flags the submitted spec does not carry are refused by name rather
-	// than dropped.
-	for _, local := range [][]string{
-		{"-sense"},
-		{"-section-cache", "cache"},
+// TestHardenStudyRefusesIgnoredFlags: -harden-study builds its own matched
+// campaigns from -n, -seed, -scale and -burst, so flags it would ignore are
+// refused by name rather than dropped.
+func TestHardenStudyRefusesIgnoredFlags(t *testing.T) {
+	for _, ignored := range [][]string{
 		{"-journal", "j"},
 		{"-resume"},
+		{"-sense"},
+		{"-section-cache", "cache"},
+		{"-paper-fraction", "0.01"},
+		{"-crashnet", "127.0.0.1:9377"},
+		{"-retries", "2"},
 	} {
-		args := append([]string{"-submit", "-coordinator", "127.0.0.1:9380",
-			"-platform", "p4", "-campaign", "code", "-n", "5"}, local...)
-		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), local[0]+" runs locally only") {
-			t.Errorf("run(%q): error %v, want %s refused", args, err, local[0])
-		}
+		t.Run(ignored[0][1:], func(t *testing.T) {
+			args := append([]string{"-harden-study", "-harden", "dup",
+				"-platform", "p4", "-campaign", "code", "-n", "5", "-quiet"}, ignored...)
+			err := run(args)
+			if err == nil || !strings.Contains(err.Error(), ignored[0]+" does not apply to -harden-study") {
+				t.Errorf("run(%q): error %v, want %s refused", args, err, ignored[0])
+			}
+		})
 	}
 }
 
 // TestEngineFlagRemoved: every guest runs on the translator, so -engine is
-// an unknown flag rather than a knob, locally and with -submit alike.
+// an unknown flag rather than a knob. Campaigns run on this host only, so
+// the control plane's -submit and -coordinator are unknown too.
 func TestEngineFlagRemoved(t *testing.T) {
-	for _, args := range [][]string{
-		{"-engine", "translate", "-platform", "p4", "-campaign", "code", "-n", "1", "-quiet"},
-		{"-submit", "-coordinator", "127.0.0.1:9380", "-engine", "interp", "-platform", "p4", "-campaign", "code", "-n", "5"},
-	} {
+	for _, flag := range []string{"-engine", "-submit", "-coordinator"} {
+		args := []string{flag, "translate", "-platform", "p4", "-campaign", "code", "-n", "1", "-quiet"}
 		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -engine") {
-			t.Errorf("run(%q): error %v, want an unknown -engine flag", args, err)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("run(%q): error %v, want an unknown %s flag", args, err, flag)
 		}
 	}
 }

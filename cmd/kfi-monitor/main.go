@@ -7,12 +7,6 @@
 //
 //	kfi-monitor -listen 127.0.0.1:9377 &
 //	kfi-campaign -platform g4 -campaign code -n 200 -crashnet 127.0.0.1:9377
-//
-// With -forward, each collected report is also forwarded to a ctlplane
-// coordinator, so crashnet telemetry shows up in `kfi-ctl status` next to
-// the campaigns that produced it:
-//
-//	kfi-monitor -listen 127.0.0.1:9377 -forward http://127.0.0.1:9380
 package main
 
 import (
@@ -26,7 +20,6 @@ import (
 
 	"kfi/internal/cli"
 	"kfi/internal/crashnet"
-	"kfi/internal/ctlplane"
 	"kfi/internal/isa"
 )
 
@@ -40,35 +33,18 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("kfi-monitor", flag.ContinueOnError)
 	var (
-		listen  = fs.String("listen", "127.0.0.1:9377", "UDP address to collect crash packets on")
-		count   = fs.Int("count", 0, "exit after this many packets (0 = run until killed)")
-		forward = fs.String("forward", "", "forward collected reports to this ctlplane coordinator URL")
+		listen = fs.String("listen", "127.0.0.1:9377", "UDP address to collect crash packets on")
+		count  = fs.Int("count", 0, "exit after this many packets (0 = run until killed)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *count < 0 {
+		return fmt.Errorf("-count must be >= 0, got %d", *count)
+	}
 	addr, err := cli.ParseListenAddr(*listen)
 	if err != nil {
 		return fmt.Errorf("-listen: %w", err)
-	}
-	var fwd func(crashnet.Packet)
-	if *forward != "" {
-		client, err := ctlplane.NewClient(*forward)
-		if err != nil {
-			return fmt.Errorf("-forward: %w", err)
-		}
-		fwd = func(p crashnet.Packet) {
-			rep := ctlplane.CrashReport{
-				Source: "kfi-monitor", Platform: p.Platform.Short(),
-				Cause: p.Cause.String(), Seq: p.Seq, PC: p.PC,
-				FaultAddr: p.FaultAddr, SP: p.SP, Cycles: p.Cycles,
-			}
-			// Telemetry forwarding must never stall collection: a coordinator
-			// outage costs the mirror, not the local record.
-			if err := client.ReportCrash(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "kfi-monitor: forward: %v\n", err)
-			}
-		}
 	}
 	coll, err := crashnet.NewUDPCollector(addr)
 	if err != nil {
@@ -76,7 +52,7 @@ func run(args []string, w io.Writer) error {
 	}
 	defer coll.Close()
 	fmt.Fprintf(w, "collecting crash packets on %s\n", coll.Addr())
-	return collect(coll, *count, w, fwd)
+	return collect(coll, *count, w)
 }
 
 // collect drains packets until count is reached (or forever when count is
@@ -85,7 +61,7 @@ func run(args []string, w io.Writer) error {
 // and a closed socket ends collection gracefully with the summary — a
 // campaign's worth of collected crashes must never be discarded over one bad
 // read.
-func collect(coll *crashnet.UDPCollector, count int, w io.Writer, forward func(crashnet.Packet)) error {
+func collect(coll *crashnet.UDPCollector, count int, w io.Writer) error {
 	causes := make(map[isa.CrashCause]int)
 	received := 0
 	summary := func() {
@@ -124,9 +100,6 @@ func collect(coll *crashnet.UDPCollector, count int, w io.Writer, forward func(c
 		causes[pkt.Cause]++
 		fmt.Fprintf(w, "#%04d %-16s %-22s pc=0x%08X addr=0x%08X sp=0x%08X cycles=%d\n",
 			pkt.Seq, pkt.Platform.Short(), pkt.Cause, pkt.PC, pkt.FaultAddr, pkt.SP, pkt.Cycles)
-		if forward != nil {
-			forward(pkt)
-		}
 	}
 	summary()
 	return nil

@@ -35,7 +35,7 @@ func TestCollectPrintsAndSummarizes(t *testing.T) {
 	}
 
 	var out strings.Builder
-	if err := collect(coll, len(pkts), &out, nil); err != nil {
+	if err := collect(coll, len(pkts), &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -55,6 +55,28 @@ func TestRunRejectsBadAddress(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-listen", "not-an-address"}, &out); err == nil {
 		t.Error("bad listen address accepted")
+	}
+}
+
+// TestRunRejectsNegativeCount: a negative -count is refused before binding
+// rather than collecting nothing and exiting 0.
+func TestRunRejectsNegativeCount(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-listen", "127.0.0.1:0", "-count", "-1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-count must be >= 0") {
+		t.Errorf("run(-count -1): error %v, want -count refused", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run(-count -1) printed %q before refusing", out.String())
+	}
+}
+
+// TestForwardFlagRemoved: crash reports are collected on this host only.
+func TestForwardFlagRemoved(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-forward", "http://127.0.0.1:9380"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -forward") {
+		t.Errorf("run(-forward): error %v, want an unknown flag", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command kfi-report re-renders the paper's tables and figures from the
-// outcome journals kfi-campaign -journal and kfi-ctl serve write. Because a
-// journal carries every classified result, the report can be regenerated,
-// filtered, and compared without re-running the (much slower) injection
-// campaigns. A directory argument contributes all of its *.kjournal files.
+// outcome journals kfi-campaign -journal writes. Because a journal carries
+// every classified result, the report can be regenerated, filtered, and
+// compared without re-running the (much slower) injection campaigns. A
+// directory argument contributes all of its *.kjournal files.
 //
 // Example:
 //

@@ -29,8 +29,8 @@ type Guest struct {
 // NewGuest compiles the benchmark workload once at the given scale (< 1
 // means 1), builds a guest system of the platform with opts, and traces its
 // golden run, which gives the checksum, the run length and the kernel
-// profile. It is the one system constructor behind core.BuildSystem, Farm,
-// NodeRunner and the harden study.
+// profile. It is the one system constructor behind core.BuildSystem, Farm
+// and the harden study.
 func NewGuest(platform isa.Platform, scale int, opts kernel.Options) (*Guest, error) {
 	uimg, err := cc.Compile(workload.Program(max(scale, 1)), platform, kernel.UserBases)
 	if err != nil {

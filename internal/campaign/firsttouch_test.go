@@ -113,7 +113,7 @@ func TestFirstTouchHostOnlyWords(t *testing.T) {
 			ex := newExecutor([]*kernel.System{sys}, golden, ExecOptions{}, nil, execHooks{})
 			defer ex.close()
 			out := make([]inject.Result, len(targets))
-			if err := plan.execute(ex, nil, out, func(int, bool) error { return nil }); err != nil {
+			if err := plan.execute(ex, out, func(int, bool) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 			manifested := 0

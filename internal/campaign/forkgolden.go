@@ -58,9 +58,9 @@ type ExecOptions struct {
 	MaxAttempts int
 	// injectionTimeout (tests) overrides the per-attempt wall-clock
 	// watchdog. An attempt that exceeds it is abandoned and retried on a
-	// respawned node (Farm, NodeRunner and study runs; RunWith cannot
-	// replace its caller's machine and reports an error). 0 = default 2m;
-	// negative disables the watchdog.
+	// respawned node (Farm and study runs; RunWith cannot replace its
+	// caller's machine and reports an error). 0 = default 2m; negative
+	// disables the watchdog.
 	injectionTimeout time.Duration
 	// retryBackoff (tests) overrides the delay before the first retry; it
 	// doubles with every further attempt (0 = default 2ms).
@@ -131,7 +131,7 @@ func run(nodes []*kernel.System, respawn func() (*kernel.System, error), hooks e
 	results := make([]inject.Result, len(plan.Targets))
 	rec := &recorder{journal: opts.Journal, progress: progress, results: results,
 		sense: plan.sense, markCached: opts.SectionCache != ""}
-	if err := plan.execute(ex, nil, results, rec.complete); err != nil {
+	if err := plan.execute(ex, results, rec.complete); err != nil {
 		return nil, err
 	}
 	if err := plan.secs.store(results); err != nil {
@@ -188,9 +188,9 @@ type nodeState struct {
 //
 // The runner is stateful so a node can execute many chunks with one
 // snapshot chain: as long as successive chunks carry non-decreasing triggers
-// (the steal queue hands chunks out in global trigger order, and ctlplane
-// leases arrive the same way), the checkpoint only ever advances forward and
-// the invariant above holds across chunk boundaries. A chunk requeued by
+// (the steal queue hands chunks out in global trigger order), the checkpoint
+// only ever advances forward and the invariant above holds across chunk
+// boundaries. A chunk requeued by
 // node failover can carry triggers below the last one the chain served; the
 // runner then restarts its chain from boot, which reproduces the same
 // deterministic pause states. A trigger at or below the checkpoint's pause

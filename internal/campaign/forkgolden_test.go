@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -148,8 +149,11 @@ func TestJournalBytesDeterministic(t *testing.T) {
 // pause lands at or past its trigger (the first loop-top cycle at or after
 // it, or the next timer when the guest idles), so the checkpoint often sits
 // beyond the next trigger; that trigger still lies in the checkpoint's
-// window and must not restart the chain from boot. Outcomes match
-// ReplayFromBoot.
+// window and must not restart the chain from boot. The same order run as
+// three interleaved passes (positions 0, 3, 6, ..., then 1, 4, 7, ...)
+// starts each later pass behind the chain, as a requeued chunk does, and
+// restarts it from boot exactly once per pass. Outcomes match
+// ReplayFromBoot either way.
 func TestChainCapturesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns are slow")
@@ -162,27 +166,37 @@ func TestChainCapturesOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var ex *executor
-				chains := map[*snapshot.Snapshot]bool{}
-				ex = newExecutor([]*kernel.System{sys}, golden, ExecOptions{}, nil, execHooks{
-					injectFrom: func(_ int, s *kernel.System, tg inject.Target, g uint32) inject.Result {
-						chains[ex.runners[0].st.snap] = true
-						return inject.RunFrom(s, tg, g)
-					},
-				})
-				defer ex.close()
-				out := make([]inject.Result, len(plan.Targets))
-				if err := plan.execute(ex, nil, out, func(int, bool) error { return nil }); err != nil {
-					t.Fatal(err)
-				}
-				if len(chains) != 1 {
-					t.Errorf("the chain was captured %d times, want 1", len(chains))
-				}
 				replay := ReplayFromBoot(sys, golden, plan.Targets)
-				for i := range replay {
-					if !reflect.DeepEqual(replay[i], out[i]) {
-						t.Errorf("injection %d diverges:\n  replay: %+v\n  chain:  %+v", i, replay[i], out[i])
-					}
+				for _, passes := range []int{1, 3} {
+					t.Run(fmt.Sprintf("passes=%d", passes), func(t *testing.T) {
+						var ex *executor
+						chains := map[*snapshot.Snapshot]bool{}
+						ex = newExecutor([]*kernel.System{sys}, golden, ExecOptions{}, nil, execHooks{
+							injectFrom: func(_ int, s *kernel.System, tg inject.Target, g uint32) inject.Result {
+								chains[ex.runners[0].st.snap] = true
+								return inject.RunFrom(s, tg, g)
+							},
+						})
+						defer ex.close()
+						out := make([]inject.Result, len(plan.Targets))
+						for residue := 0; residue < passes; residue++ {
+							var pass []trigOrder
+							for k := residue; k < len(plan.order); k += passes {
+								pass = append(pass, plan.order[k])
+							}
+							if err := ex.run(plan, pass, out, func(int) error { return nil }); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if len(chains) != passes {
+							t.Errorf("the chain was captured %d times, want %d", len(chains), passes)
+						}
+						for i := range replay {
+							if !reflect.DeepEqual(replay[i], out[i]) {
+								t.Errorf("injection %d diverges:\n  replay: %+v\n  chain:  %+v", i, replay[i], out[i])
+							}
+						}
+					})
 				}
 			})
 		}

@@ -12,7 +12,6 @@ package campaign_test
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,12 +124,10 @@ type entryPoint struct {
 	open func(t *testing.T, p isa.Platform) func(spec campaign.Spec) []byte
 }
 
-// entryPoints lists the drivers besides RunWith: a two-node farm, a
-// NodeRunner fed shuffled lease subsets, and the study layer with one and
-// two nodes.
+// entryPoints lists the drivers besides RunWith: a two-node farm and the
+// study layer with one and two nodes.
 var entryPoints = []entryPoint{
 	{"Farm.RunWith-2", openFarm},
-	{"NodeRunner.RunIndices", openNodeRunner},
 	{"core.Run-1", openStudy(1)},
 	{"core.Run-2", openStudy(2)},
 }
@@ -153,37 +150,6 @@ func openFarm(t *testing.T, p isa.Platform) func(spec campaign.Spec) []byte {
 			t.Fatal(err)
 		}
 		return canonicalJournal(t, path)
-	}
-}
-
-func openNodeRunner(t *testing.T, p isa.Platform) func(spec campaign.Spec) []byte {
-	nr, err := campaign.NewNodeRunner(p, 1, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(nr.Close)
-	return func(spec campaign.Spec) []byte {
-		plan, err := nr.Plan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := map[int]inject.Result{}
-		perm := rand.New(rand.NewSource(spec.Seed)).Perm(spec.N)
-		for lo := 0; lo < len(perm); lo += 3 {
-			lease := perm[lo:min(lo+3, len(perm))]
-			err := nr.RunIndices(plan, lease, campaign.ExecOptions{}, func(idx int, r inject.Result) error {
-				rows[idx] = r
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		b, err := campaign.CanonicalJournalBytes(campaign.HeaderFor(p, nr.Golden(), spec), rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
 	}
 }
 

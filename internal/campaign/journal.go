@@ -166,22 +166,17 @@ func ResumeJournal(path string, h Header) (*Journal, map[int]inject.Result, erro
 	return &Journal{f: f}, completed, nil
 }
 
-// ReadJournal scans a journal file read-only; see ScanJournal.
+// ReadJournal scans a journal file read-only, returning its header and the
+// outcomes of the longest valid record prefix. Unlike ResumeJournal it
+// accepts header fields Header does not define, so journals written by
+// earlier builds still report.
 func ReadJournal(path string) (Header, map[int]inject.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	defer f.Close()
-	return ScanJournal(f)
-}
-
-// ScanJournal reads a journal stream, returning its header and the outcomes
-// of the longest valid record prefix. Unlike ResumeJournal it accepts header
-// fields Header does not define, so journals written by earlier builds still
-// report.
-func ScanJournal(r io.Reader) (Header, map[int]inject.Result, error) {
-	h, completed, _, err := scanJournal(r, false)
+	h, completed, _, err := scanJournal(f, false)
 	return h, completed, err
 }
 
@@ -257,13 +252,6 @@ func (fr *frameReader) next() ([]byte, bool) {
 	return payload, true
 }
 
-// Frame wraps a payload in the journal's length/CRC-32C framing. It is the
-// wire framing of the control plane's result streams as well: a worker ships
-// outcome rows as journal frames, so the coordinator persists exactly what
-// arrived and a torn tail frame from a dead worker is indistinguishable from
-// (and as harmless as) a torn tail record from a crash mid-append.
-func Frame(payload []byte) []byte { return frame(payload) }
-
 // FrameReader iterates the intact frames of a stream; any damage — a short
 // read, an implausible length, a CRC mismatch — reads as end-of-stream.
 type FrameReader struct {
@@ -277,12 +265,12 @@ func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{fr: frameRea
 // the first sign of damage.
 func (r *FrameReader) Next() ([]byte, bool) { return r.fr.next() }
 
-// EncodeRecord marshals one outcome record to the journal's payload format.
-func EncodeRecord(idx int, res inject.Result) ([]byte, error) {
+// encodeRecord marshals one outcome record to the journal's payload format.
+func encodeRecord(idx int, res inject.Result) ([]byte, error) {
 	return json.Marshal(journalRecord{Idx: idx, Result: res})
 }
 
-// DecodeRecord parses a record payload produced by EncodeRecord (or read
+// DecodeRecord parses a record payload produced by encodeRecord (or read
 // back out of a journal frame).
 func DecodeRecord(payload []byte) (int, inject.Result, error) {
 	var rec journalRecord
@@ -296,8 +284,8 @@ func DecodeRecord(payload []byte) (int, inject.Result, error) {
 // journal in canonical form: the header frame followed by one record frame
 // per outcome in ascending index order. Two runs of the same campaign that
 // completed the same outcomes produce byte-identical canonical journals no
-// matter which nodes — goroutines or machines — executed which injections,
-// or in what order the records originally landed.
+// matter which nodes executed which injections, or in what order the
+// records originally landed.
 func CanonicalJournalBytes(h Header, completed map[int]inject.Result) ([]byte, error) {
 	h.Magic = journalMagic
 	hp, err := json.Marshal(h)
@@ -311,7 +299,7 @@ func CanonicalJournalBytes(h Header, completed map[int]inject.Result) ([]byte, e
 	}
 	sort.Ints(idxs)
 	for _, i := range idxs {
-		payload, err := EncodeRecord(i, completed[i])
+		payload, err := encodeRecord(i, completed[i])
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +320,7 @@ func frame(payload []byte) []byte {
 // before Append returns (a killed process loses nothing), and the file is
 // fsynced every journalSyncEvery appends.
 func (j *Journal) Append(idx int, r inject.Result) error {
-	payload, err := EncodeRecord(idx, r)
+	payload, err := encodeRecord(idx, r)
 	if err != nil {
 		return err
 	}

@@ -164,7 +164,7 @@ func TestJournalResumeRejectsUnknownHeaderFields(t *testing.T) {
 			}
 			hp = append(hp[:len(hp)-1], ","+extra+"}"...)
 			buf := frame(hp)
-			rec, err := EncodeRecord(0, sampleJournalResult(0))
+			rec, err := encodeRecord(0, sampleJournalResult(0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,12 +8,10 @@ import (
 )
 
 // Plan is a campaign's deterministic execution plan, built once by NewPlan
-// and executed by one executor whatever the entry point: RunWith, a Farm, a
-// NodeRunner serving ctlplane leases, or the harden study. Two plans built
-// from identical systems for the same spec and options are identical —
-// target generation is seeded and the guest is deterministic — which is what
-// lets a coordinator plan a campaign that remote workers re-derive
-// independently.
+// and executed by one executor whatever the entry point: RunWith, a Farm, or
+// the harden study. Two plans built from identical systems for the same spec
+// and options are identical: target generation is seeded and the guest is
+// deterministic.
 type Plan struct {
 	Targets []inject.Target
 	// Order lists the target indices that execute, sorted by trigger cycle
@@ -158,32 +156,18 @@ func (p *Plan) sortByTrigger(sys *kernel.System) error {
 	return nil
 }
 
-// execute completes the plan's rows that want selects (nil selects all) on
-// ex, writing each into out before calling done: first the ready rows in
-// stream order, then the executed rows in trigger order. This fixes the
-// journal's append order for single-node runs, so two identical runs write
-// identical bytes.
-func (p *Plan) execute(ex *executor, want func(idx int) bool, out []inject.Result,
-	done func(idx int, journal bool) error) error {
+// execute completes every row of the plan on ex, writing each into out
+// before calling done: first the ready rows in stream order, then the
+// executed rows in trigger order. This fixes the journal's append order for
+// single-node runs, so two identical runs write identical bytes.
+func (p *Plan) execute(ex *executor, out []inject.Result, done func(idx int, journal bool) error) error {
 	for _, r := range p.ready {
-		if want != nil && !want(r.idx) {
-			continue
-		}
 		out[r.idx] = r.res
 		if err := done(r.idx, r.journal); err != nil {
 			return err
 		}
 	}
-	order := p.order
-	if want != nil {
-		order = nil
-		for _, o := range p.order {
-			if want(o.idx) {
-				order = append(order, o)
-			}
-		}
-	}
-	return ex.run(p, order, out, func(idx int) error { return done(idx, true) })
+	return ex.run(p, p.order, out, func(idx int) error { return done(idx, true) })
 }
 
 // notActivatedResult mirrors RunOne's early return for an error that was

@@ -303,13 +303,13 @@ func (ss *sectionSet) writeSection(sec *section, results []inject.Result) error 
 	if err != nil {
 		return err
 	}
-	out := Frame(hp)
+	out := frame(hp)
 	for _, idx := range sec.idxs {
-		payload, err := EncodeRecord(idx, results[idx])
+		payload, err := encodeRecord(idx, results[idx])
 		if err != nil {
 			return err
 		}
-		out = append(out, Frame(payload)...)
+		out = append(out, frame(payload)...)
 	}
 	tmp, err := os.CreateTemp(ss.dir, "sec-*.tmp")
 	if err != nil {

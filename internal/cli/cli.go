@@ -1,14 +1,12 @@
 // Package cli holds small helpers shared by the kfi command-line tools: the
 // -platform and -campaign flag parsing (resolved through the platform
 // registry so every tool accepts the same names and prints the same error
-// for an unknown one), and the -listen / -coordinator address parsing shared
-// by kfi-campaign, kfi-ctl, and kfi-monitor.
+// for an unknown one), and kfi-monitor's -listen address parsing.
 package cli
 
 import (
 	"fmt"
 	"net"
-	"net/url"
 	"strings"
 
 	"kfi/internal/inject"
@@ -108,33 +106,4 @@ func ParseListenAddr(s string) (string, error) {
 		return "", fmt.Errorf("listen address %q is missing a port", s)
 	}
 	return s, nil
-}
-
-// ParseCoordinatorURL validates and normalizes a -coordinator flag value to
-// an http(s) base URL with no trailing slash. A bare host:port is accepted
-// and given the http scheme, so "-coordinator 127.0.0.1:9380" and
-// "-coordinator http://127.0.0.1:9380" name the same service.
-func ParseCoordinatorURL(s string) (string, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return "", fmt.Errorf("empty coordinator URL")
-	}
-	if !strings.Contains(s, "://") {
-		s = "http://" + s
-	}
-	u, err := url.Parse(s)
-	if err != nil {
-		return "", fmt.Errorf("invalid coordinator URL %q: %v", s, err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return "", fmt.Errorf("coordinator URL %q: unsupported scheme %q (want http or https)", s, u.Scheme)
-	}
-	if u.Host == "" {
-		return "", fmt.Errorf("coordinator URL %q is missing a host", s)
-	}
-	if u.RawQuery != "" || u.Fragment != "" {
-		return "", fmt.Errorf("coordinator URL %q must not carry a query or fragment", s)
-	}
-	u.Path = strings.TrimSuffix(u.Path, "/")
-	return u.String(), nil
 }

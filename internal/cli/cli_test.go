@@ -161,34 +161,3 @@ func TestParseListenAddr(t *testing.T) {
 		}
 	}
 }
-
-func TestParseCoordinatorURL(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    string
-		wantErr bool
-	}{
-		{in: "127.0.0.1:9380", want: "http://127.0.0.1:9380"},
-		{in: "http://127.0.0.1:9380", want: "http://127.0.0.1:9380"},
-		{in: "http://127.0.0.1:9380/", want: "http://127.0.0.1:9380"},
-		{in: "https://kfi.example", want: "https://kfi.example"},
-		{in: "  http://h:1  ", want: "http://h:1"},
-		{in: "", wantErr: true},
-		{in: "ftp://127.0.0.1:9380", wantErr: true},
-		{in: "http://", wantErr: true},              // no host
-		{in: "http://h:1/x?drain=1", wantErr: true}, // query
-		{in: "http://h:1/x#frag", wantErr: true},    // fragment
-	}
-	for _, c := range cases {
-		got, err := ParseCoordinatorURL(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("ParseCoordinatorURL(%q) = %q, want error", c.in, got)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Errorf("ParseCoordinatorURL(%q) = %q, %v, want %q", c.in, got, err, c.want)
-		}
-	}
-}

@@ -208,8 +208,8 @@ func Run(cfg Config) (*StudyResult, error) {
 
 // SpecSeed derives the per-(platform, campaign) target-generation seed from
 // a study's base seed. Every execution mode — single system, in-process
-// farm, or a ctlplane submission — must use this same derivation for its
-// outcome tables to be comparable injection-for-injection.
+// farm, or the harden study — must use this same derivation for its outcome
+// tables to be comparable injection-for-injection.
 func SpecSeed(base int64, p isa.Platform, c inject.Campaign) int64 {
 	return base + int64(c)*1000 + int64(p)
 }

@@ -35,12 +35,6 @@
 //     allowlist of intrinsically two-ISA tools may branch on the constants.
 //     Data uses — map literals keyed by platform, registrations, constant
 //     definitions — are fine; only switch/if dispatch is flagged.
-//   - injectable seams in the control plane: internal/ctlplane must read the
-//     wall clock only through its Clock seam (clock.go) and must never use
-//     net/http's ambient default client or transport — lease expiry is the
-//     package's core correctness property and tests drive it with a fake
-//     clock and injected transports, so an ambient time.Now or http.Get
-//     sneaking in is a test-escape waiting to happen.
 //
 // The checks are purely syntactic (go/parser, no type checking), so they run
 // in milliseconds and cannot be broken by build-tag or module complications.
@@ -186,9 +180,6 @@ func Check(root string) ([]Finding, error) {
 		}
 		if !platformDispatchExempt(rel) {
 			findings = append(findings, checkPlatformDispatch(fset, file, rel)...)
-		}
-		if inCtlplaneSeamScope(rel) {
-			findings = append(findings, checkCtlplaneSeams(fset, file, rel)...)
 		}
 		return nil
 	})
@@ -425,62 +416,6 @@ func platformDispatchExempt(rel string) bool {
 		}
 	}
 	return false
-}
-
-// ctlplaneClockFile is the one control-plane file allowed to read the wall
-// clock: it defines the injectable Clock seam everything else must use.
-const ctlplaneClockFile = "internal/ctlplane/clock.go"
-
-// inCtlplaneSeamScope reports whether a repo-relative file must route time
-// and HTTP transport through the control plane's injectable seams.
-func inCtlplaneSeamScope(rel string) bool {
-	rel = filepath.ToSlash(rel)
-	return strings.HasPrefix(rel, "internal/ctlplane/") && rel != ctlplaneClockFile
-}
-
-// httpAmbient lists the net/http package-level functions and variables that
-// reach for the ambient default client or transport.
-var httpAmbient = map[string]bool{
-	"Get": true, "Post": true, "PostForm": true, "Head": true,
-	"DefaultClient": true, "DefaultTransport": true,
-}
-
-// checkCtlplaneSeams flags wall-clock reads and ambient-HTTP use in
-// internal/ctlplane outside the Clock seam. time.Now must come from an
-// injected Clock; HTTP must go through an owned *http.Client.
-func checkCtlplaneSeams(fset *token.FileSet, file *ast.File, rel string) []Finding {
-	imports := map[string]bool{}
-	for _, imp := range file.Imports {
-		imports[strings.Trim(imp.Path.Value, `"`)] = true
-	}
-	if !imports["time"] && !imports["net/http"] {
-		return nil
-	}
-	var findings []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || pkg.Obj != nil { // shadowed identifier, not a package
-			return true
-		}
-		switch {
-		case pkg.Name == "time" && imports["time"] && sel.Sel.Name == "Now":
-			findings = append(findings, Finding{
-				File: rel, Line: fset.Position(sel.Pos()).Line,
-				Msg: "time.Now in internal/ctlplane outside the Clock seam (inject a ctlplane.Clock; clock.go is the only wall-clock reader)",
-			})
-		case pkg.Name == "http" && imports["net/http"] && httpAmbient[sel.Sel.Name]:
-			findings = append(findings, Finding{
-				File: rel, Line: fset.Position(sel.Pos()).Line,
-				Msg: fmt.Sprintf("http.%s uses the ambient default client/transport in internal/ctlplane (use an owned, injectable *http.Client)", sel.Sel.Name),
-			})
-		}
-		return true
-	})
-	return findings
 }
 
 // inStepCallDir reports whether a repo-relative file may call a core's Step

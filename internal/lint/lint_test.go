@@ -414,64 +414,3 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("repository has lint findings:\n  %s", strings.Join(findingStrings(fs), "\n  "))
 	}
 }
-
-func TestCtlplaneSeamRule(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		// clock.go is the seam: its time.Now is the one allowed reader.
-		"internal/ctlplane/clock.go": `package ctlplane
-import "time"
-func now() time.Time { return time.Now() }
-`,
-		"internal/ctlplane/bad.go": `package ctlplane
-import (
-	"net/http"
-	"time"
-)
-func bad() {
-	_ = time.Now()
-	http.Get("http://example")
-	_ = http.DefaultClient
-	owned := &http.Client{}
-	owned.Get("http://example")
-	mux := http.NewServeMux()
-	_ = mux
-}
-`,
-	})
-	fs, err := Check(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seam []Finding
-	for _, f := range fs {
-		if strings.Contains(f.File, "ctlplane") {
-			seam = append(seam, f)
-		}
-	}
-	if len(seam) != 3 {
-		t.Fatalf("ctlplane seam findings = %v, want exactly 3 (time.Now, http.Get, http.DefaultClient)",
-			findingStrings(seam))
-	}
-	for _, want := range []string{"time.Now", "http.Get", "http.DefaultClient"} {
-		found := false
-		for _, f := range seam {
-			if strings.Contains(f.Msg, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no finding mentions %s in %v", want, findingStrings(seam))
-		}
-	}
-	for _, f := range seam {
-		if strings.Contains(f.File, "clock.go") {
-			t.Errorf("clock.go (the seam itself) was flagged: %s", f)
-		}
-	}
-	// Lines 10-12 are the owned-client and mux uses; none may be flagged.
-	for _, f := range seam {
-		if f.Line >= 10 {
-			t.Errorf("owned client / mux use was flagged: %s", f)
-		}
-	}
-}

@@ -342,8 +342,7 @@ type reportJSON struct {
 }
 
 // MarshalJSON writes the report with the platform's short name (p4, g4),
-// the name the flags and the control plane's JSON use, instead of the
-// isa.Platform number.
+// the name the flags use, instead of the isa.Platform number.
 func (r Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(reportJSON{Platform: r.Platform.Short(), reportFields: (*reportFields)(&r)})
 }

@@ -45,9 +45,9 @@ func Summarize(results []inject.Result) Counts {
 	return c
 }
 
-// Add tallies one result — the streaming form of Summarize, used by
-// consumers that account for outcomes as they arrive (the control plane's
-// live campaign status) rather than over a finished slice.
+// Add tallies one result — the streaming form of Summarize, for consumers
+// that account for outcomes as they arrive rather than over a finished
+// slice.
 func (c *Counts) Add(r inject.Result) {
 	c.Injected++
 	if !r.ActivationKnown {

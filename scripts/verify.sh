@@ -42,12 +42,12 @@ echo "== fuzz: translator decoded-code cache against the reference interpreter, 
 go test ./internal/cisc -run '^$' -fuzz '^FuzzPredecodeEquivalence$' -fuzztime 5s -fuzzminimizetime 1s
 go test ./internal/risc -run '^$' -fuzz '^FuzzPredecodeEquivalence$' -fuzztime 5s -fuzzminimizetime 1s
 
-echo "== go test -race (campaign + crashnet + ctlplane: the concurrent farm/journal/transport/control-plane layer)"
+echo "== go test -race (campaign + crashnet: the concurrent farm/journal/transport layer)"
 # internal/campaign alone takes about 15 minutes under -race on 2 vCPUs
 # (933 s measured), past go test's 10-minute default timeout. About
 # 150 s of it is TestFirstTouchExact, which replays 800 data rows from
 # boot as its reference.
-go test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/... ./internal/ctlplane/...
+go test -race -timeout 30m ./internal/campaign/... ./internal/crashnet/...
 
 echo "== pipeline smoke (kfi-campaign -journal, then kfi-report on the journal directory)"
 tmp=$(mktemp -d)
